@@ -483,6 +483,10 @@ fn verbose_stack_overhead(payload: &[u8], op: &str) {
                 word = (word << 8) | b as u64;
                 check = (check ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
             }
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "fmt::Write into a String is infallible; the verbose-overhead loop must not add branches"
+            )]
             let _ = write!(log, "{op} pass={pass} field[{i}]={word:016x} ");
         }
         std::hint::black_box((log, check));

@@ -105,6 +105,10 @@ impl ClusterData {
     }
 
     /// Per-node partition counts — the figure-2 style load histogram.
+    #[expect(
+        clippy::expect_used,
+        reason = "every node gets a counter before any key is counted; a missing node is a placement bug that must fail loudly"
+    )]
     pub fn partitions_per_node(&self) -> BTreeMap<u32, u64> {
         let mut out: BTreeMap<u32, u64> = (0..self.nodes()).map(|n| (n, 0)).collect();
         for replicas in self.placement.values() {

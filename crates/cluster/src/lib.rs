@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 
 //! # kvs-cluster
 //!

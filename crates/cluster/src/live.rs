@@ -105,6 +105,10 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
             handles.push(std::thread::spawn(move || {
                 while let Some(wire) = source.recv() {
                     let db_start = Instant::now();
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "in-process channel: a malformed request is a codec bug and panicking reports it"
+                    )]
                     let req = codec
                         .decode_request(wire.bytes)
                         .expect("malformed request on the wire");
@@ -113,8 +117,10 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
                         QueryResponse::from_kinds(req.request_id, cells.iter().map(|c| c.kind));
                     let db_end = Instant::now();
                     let bytes = codec.encode_response(&response);
-                    // Ignore send failure: the master may already have all
-                    // it needs and dropped the receiver.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "the master may already have every response it needs and have dropped the receiver"
+                    )]
                     let _ = resp_tx.send(WireResponse {
                         bytes,
                         node,
@@ -160,8 +166,16 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
     let mut total_cells = 0u64;
     let mut bytes_to_master = 0u64;
     for _ in 0..keys.len() {
+        #[expect(
+            clippy::expect_used,
+            reason = "the pool holds the sender until every request is answered; a closed channel is a harness bug"
+        )]
         let wire = resp_rx.recv().expect("workers died before finishing");
         bytes_to_master += wire.bytes.len() as u64;
+        #[expect(
+            clippy::expect_used,
+            reason = "in-process channel: a malformed response is a codec bug and panicking reports it"
+        )]
         let response = cfg
             .codec
             .decode_response(wire.bytes)
@@ -200,6 +214,10 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
         queue_stats.merge(&q.stats());
     }
     drop(req_queues);
+    #[expect(
+        clippy::expect_used,
+        reason = "re-raising a worker panic at join is the harness's intended failure mode"
+    )]
     for h in handles {
         h.join().expect("worker thread panicked");
     }

@@ -16,6 +16,11 @@
 //! which owns answering them (an `Expired` reply on the wire). Entries
 //! pushed through the untimed API never expire.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the queue blocks on std::sync::Condvar, which pairs only with std::sync::Mutex; the parking_lot shim has no Condvar"
+)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};

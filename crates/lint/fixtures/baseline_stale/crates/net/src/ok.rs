@@ -1,5 +1,5 @@
-//! Fixture: error discipline and lock hygiene done right (KVS-L003/L004/
-//! L006/L007 pass).
+//! Fixture: lock hygiene and channel topology done right (KVS-L007/L010
+//! pass).
 
 use parking_lot::Mutex;
 

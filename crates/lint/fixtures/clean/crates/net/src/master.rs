@@ -19,8 +19,6 @@ impl Master {
     }
 
     pub fn on_frame(&mut self, kind: super::frame::FrameKind) {
-        // Every declared kind named (KVS-L012 pass): a new FrameKind
-        // variant forces this match to be revisited.
         match kind {
             super::frame::FrameKind::Request => {}
             super::frame::FrameKind::Response => {}

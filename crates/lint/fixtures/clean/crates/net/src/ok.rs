@@ -1,5 +1,4 @@
-//! Fixture: error discipline and lock hygiene done right (KVS-L003/L004/
-//! L006/L007 pass).
+//! Fixture: lock hygiene done right (KVS-L007 pass).
 
 use parking_lot::Mutex;
 

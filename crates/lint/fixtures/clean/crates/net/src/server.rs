@@ -40,20 +40,3 @@ pub fn ack_write(first: u64, dequeued: u64, db_end: u64, payload: Vec<u8>) -> Fr
         payload,
     }
 }
-
-pub const MAX_PAYLOAD: u32 = 64 * 1024 * 1024;
-
-/// The wire-declared length is compared against the cap before any byte
-/// of it sizes an allocation (KVS-L017 pass — the bound check kills the
-/// taint).
-pub fn read_frame_checked(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut prefix = [0u8; 17];
-    stream.read_exact(&mut prefix)?;
-    let len = u32::from_be_bytes([prefix[13], prefix[14], prefix[15], prefix[16]]);
-    if len > MAX_PAYLOAD {
-        return Err(too_large(len));
-    }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
-}

@@ -1,5 +1,7 @@
 //! Fixture: a violation excused by a matching waiver (waiver-used path).
 
-pub fn parse(s: &str) -> u32 {
-    s.parse().unwrap()
+pub fn fan_in() -> u64 {
+    let (event_tx, event_rx) = crossbeam::channel::unbounded::<u64>();
+    event_tx.send(7).ok();
+    event_rx.recv().unwrap_or(0)
 }

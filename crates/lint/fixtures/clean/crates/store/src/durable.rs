@@ -19,16 +19,3 @@ pub fn flush(store: &mut Store, dir: &str, data: &[u8]) -> std::io::Result<()> {
     std::fs::remove_file("000.sst")?;
     Ok(())
 }
-
-/// The charges land right after the read, before the checksum branch,
-/// so every path to the exit is accounted (KVS-L019 pass).
-pub fn load_block(file: &mut File, meta: &BlockMeta, receipt: &mut ReadReceipt) -> std::io::Result<Vec<u8>> {
-    let mut buf = vec![0u8; meta.len];
-    file.read_exact(&mut buf)?;
-    receipt.disk_blocks_read += 1;
-    receipt.disk_bytes_read += meta.len as u64;
-    if fnv64(&buf) != meta.checksum {
-        return Err(corrupt(meta.offset));
-    }
-    Ok(buf)
-}

@@ -214,13 +214,13 @@ mod tests {
     #[test]
     fn matching_entry_demotes_and_multiset_counts() {
         let entries = vec![Entry {
-            rule: "KVS-L004".to_string(),
+            rule: "KVS-L010".to_string(),
             path: "a.rs".to_string(),
             contains: String::new(),
         }];
         // Two identical findings, one entry: one demoted, one still fails.
         let (still, base) = apply(
-            vec![diag("KVS-L004", "a.rs", 3), diag("KVS-L004", "a.rs", 9)],
+            vec![diag("KVS-L010", "a.rs", 3), diag("KVS-L010", "a.rs", 9)],
             &[],
             &entries,
             BASELINE_FILE,
@@ -228,13 +228,13 @@ mod tests {
         );
         assert_eq!(base.len(), 1);
         assert_eq!(still.len(), 1);
-        assert_eq!(still[0].rule, "KVS-L004");
+        assert_eq!(still[0].rule, "KVS-L010");
     }
 
     #[test]
     fn stale_entry_fails_as_l000() {
         let entries = vec![Entry {
-            rule: "KVS-L004".to_string(),
+            rule: "KVS-L010".to_string(),
             path: "gone.rs".to_string(),
             contains: "x.unwrap()".to_string(),
         }];
@@ -248,13 +248,13 @@ mod tests {
     #[test]
     fn entry_covered_by_a_waived_finding_is_not_stale() {
         let entries = vec![Entry {
-            rule: "KVS-L004".to_string(),
+            rule: "KVS-L010".to_string(),
             path: "a.rs".to_string(),
             contains: "x.unwrap()".to_string(),
         }];
         // The finding was absorbed by a waiver, so nothing is failing —
         // but the site is still in the tree, so the entry is not stale.
-        let waived = vec![diag("KVS-L004", "a.rs", 3)];
+        let waived = vec![diag("KVS-L010", "a.rs", 3)];
         let (still, base) = apply(Vec::new(), &waived, &entries, BASELINE_FILE, |_, _| {
             Some("x.unwrap()".to_string())
         });
@@ -263,7 +263,7 @@ mod tests {
         // A waived finding never demotes: failing diagnostics that miss
         // every remaining entry still fail.
         let (still, base) = apply(
-            vec![diag("KVS-L004", "b.rs", 1)],
+            vec![diag("KVS-L010", "b.rs", 1)],
             &waived,
             &entries,
             BASELINE_FILE,

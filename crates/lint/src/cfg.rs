@@ -3,12 +3,9 @@
 //! One node per statement, lowered from the token trees: `if`/`else`
 //! chains and `match` arms fork and re-join, loops edge back to their
 //! header, and `return`/`break`/`continue`/`?` cut or redirect the
-//! fall-through. The nodes carry word-separated statement text; two
-//! kinds of consumer sit on top: pure graph-reachability queries ("can
-//! GC run before the commit?", "is every path to the rename fsynced?"
-//! — KVS-L015) and, since the dataflow layer ([`crate::dataflow`]), a
-//! gen/kill worklist engine that runs taint and must-reach analyses
-//! over these same blocks (KVS-L017 … KVS-L019).
+//! fall-through. The nodes carry word-separated statement text, and the
+//! consumers are graph-reachability queries ("can GC run before the
+//! commit?", "is every path to the rename fsynced?" — KVS-L015).
 //!
 //! Precision boundary, documented so nobody re-learns it: a branch
 //! *inside* an expression statement (`let x = if c { a } else { b };`)
@@ -26,8 +23,7 @@ pub struct Stmt {
     /// 1-based source line of the statement's first token.
     pub line: usize,
     /// Statement text with a single space separating adjacent word
-    /// tokens (so identifier boundaries survive flattening — the
-    /// dataflow layer parses variables out of this), e.g.
+    /// tokens (so identifier boundaries survive flattening), e.g.
     /// `let mut buf=Vec::with_capacity(header_len+len)`.
     pub text: String,
 }
@@ -416,8 +412,7 @@ impl<'a> Builder<'a> {
 /// Renders a tree slice with a single space between adjacent word
 /// tokens (`let mut x` rather than `letmutx`), leaving punctuation
 /// glued (`wall_ns(`, `receipt.disk_blocks_read+=1`). Rule patterns
-/// that anchor on punctuation (`rename(`, `.commit(`) are unaffected;
-/// the dataflow layer needs the word boundaries to extract variables.
+/// that anchor on punctuation (`rename(`, `.commit(`) are unaffected.
 fn spaced_text(src: &str, toks: &[Tok], trees: &[Tree], s: &mut String) {
     let is_word = |c: char| c.is_ascii_alphanumeric() || c == '_';
     let push = |s: &mut String, txt: &str| {
@@ -457,19 +452,6 @@ impl Cfg {
     /// means every path to `target` passes a `via` node first.
     pub fn path_avoiding(&self, target: usize, via: impl Fn(usize) -> bool) -> Option<Vec<usize>> {
         self.dfs(0, target, |n| n < self.stmts.len() && n != target && via(n))
-    }
-
-    /// A path `from → … → exit` avoiding every `via` node (`from` itself
-    /// is not tested): the witness that `via` does **not** always follow
-    /// `from` before the function returns.
-    pub fn path_to_exit_avoiding(
-        &self,
-        from: usize,
-        via: impl Fn(usize) -> bool,
-    ) -> Option<Vec<usize>> {
-        self.dfs(from, self.exit, |n| {
-            n < self.stmts.len() && n != from && via(n)
-        })
     }
 
     /// True when `to` is reachable from `from` (along any path).
@@ -598,9 +580,10 @@ mod tests {
     fn question_mark_edges_to_exit() {
         let (cfg, _) = cfg_of("{ let x = fallible()?; commit(); }");
         let fallible = only(&cfg, "fallible(");
-        assert!(cfg
-            .path_to_exit_avoiding(fallible, |n| cfg.stmts[n].text.contains("commit("))
-            .is_some());
+        assert!(
+            cfg.succ[fallible].contains(&cfg.exit),
+            "`?` leaves the function without passing commit()"
+        );
     }
 
     #[test]

@@ -5,25 +5,24 @@
 //! clock portals, and the *simulated* components must be deterministic
 //! enough to cross-validate against live runs. On top of that it pins the
 //! wire-protocol documentation to the constants in `frame.rs` and enforces
-//! the error- and lock-discipline conventions of the `net`/`cluster` hot
+//! the lock-discipline conventions of the `net`/`cluster` hot
 //! paths. See [`rules`] for the rule catalogue and [`waiver`] for the
 //! escape hatch.
 //!
-//! Since PR 5 the linter is a three-layer analyzer: a real tokenizer and
+//! The linter is a three-layer analyzer: a real tokenizer and
 //! token-tree builder ([`token`], [`tree`]), the line rules plus
 //! semantic passes over the trees ([`rules`], [`passes`]: lock-order
-//! cycles, channel topology, stage-stamp dataflow, frame-kind
-//! exhaustiveness), and a reporting layer with SARIF/JSON output
-//! ([`sarif`], [`json`]) and a frozen-debt ratchet ([`baseline`]).
-//! PR 9 adds the interprocedural layer — a workspace call graph
-//! ([`callgraph`]) and per-function control-flow graphs ([`cfg`]) that
-//! power blocking-reachability, crash-ordering and deadline-propagation
-//! passes — and parallelizes the per-file scan on a std-only worker
-//! pool ([`ScanMode`]). On top of those sit the dataflow engine
-//! ([`dataflow`]): a gen/kill worklist fixed point over the CFG blocks
-//! with bottom-up interprocedural taint summaries over the call graph's
-//! SCC condensation, powering the wire-input-taint, determinism-escape
-//! and receipt-accounting rules (KVS-L017 … KVS-L019).
+//! cycles, channel topology, stage-stamp dataflow), and a reporting
+//! layer with SARIF/JSON output ([`sarif`], [`json`]) and a frozen-debt
+//! ratchet ([`baseline`]). The interprocedural layer — a workspace call
+//! graph ([`callgraph`]) and per-function control-flow graphs ([`mod@cfg`])
+//! — powers the blocking-reachability, crash-ordering and
+//! deadline-propagation passes. The per-file scan runs on a std-only
+//! worker pool ([`ScanMode`]).
+//!
+//! Invariants that types or stock clippy lints can hold live there
+//! instead (the workspace `clippy.toml` and `#[expect]`-marked
+//! sanctioned sites); `docs/LINT.md` lists the retired rule IDs.
 //!
 //! Deliberately dependency-free (std only): this crate is the tool that
 //! guards the shims, so it must build even when every shim is broken.
@@ -46,7 +45,6 @@
 pub mod baseline;
 pub mod callgraph;
 pub mod cfg;
-pub mod dataflow;
 pub mod json;
 pub mod passes;
 pub mod rules;
@@ -81,9 +79,6 @@ pub struct Outcome {
     pub waiver_hits: Vec<(waiver::Waiver, usize)>,
     /// Number of source files scanned.
     pub files_scanned: usize,
-    /// Wall-clock milliseconds spent in the dataflow-engine passes
-    /// (KVS-L017 … KVS-L019); feeds the bench lane's `dataflow_ms`.
-    pub dataflow_ms: f64,
 }
 
 impl Outcome {
@@ -215,10 +210,8 @@ pub fn check_workspace(root: &Path) -> io::Result<Outcome> {
 }
 
 /// Scans the workspace rooted at `root` into a [`rules::Workspace`]
-/// under `mode`, without running any rules. Exposed so the dataflow
-/// engine's property suite can build summaries from serially- and
-/// parallelly-scanned workspaces and assert they are identical.
-pub fn scan_workspace(root: &Path, mode: ScanMode) -> io::Result<rules::Workspace> {
+/// under `mode`, without running any rules.
+fn scan_workspace(root: &Path, mode: ScanMode) -> io::Result<rules::Workspace> {
     let mut paths = Vec::new();
     for top in ["crates", "shims"] {
         let dir = root.join(top);
@@ -253,7 +246,7 @@ pub fn scan_workspace(root: &Path, mode: ScanMode) -> io::Result<rules::Workspac
 pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> {
     let ws = scan_workspace(root, mode)?;
     let files_scanned = ws.files.len();
-    let (raw, dataflow_ms) = rules::run_all_timed(&ws);
+    let raw = rules::run_all(&ws);
 
     let config_error = |line: usize, message: String, raw: Vec<Diagnostic>| -> Outcome {
         let mut diagnostics = raw;
@@ -270,7 +263,6 @@ pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> 
             baselined: Vec::new(),
             waiver_hits: Vec::new(),
             files_scanned,
-            dataflow_ms,
         }
     };
 
@@ -309,7 +301,6 @@ pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> 
                     baselined: Vec::new(),
                     waiver_hits: Vec::new(),
                     files_scanned,
-                    dataflow_ms,
                 });
             }
         }
@@ -348,6 +339,5 @@ pub fn check_workspace_with(root: &Path, mode: ScanMode) -> io::Result<Outcome> 
         baselined,
         waiver_hits: waivers.into_iter().zip(applied.hits).collect(),
         files_scanned,
-        dataflow_ms,
     })
 }

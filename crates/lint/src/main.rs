@@ -264,12 +264,6 @@ fn bench(cli: &Cli) -> ExitCode {
                 ("serial_ms", Value::Num(serial_ms)),
                 ("parallel_ms", Value::Num(parallel_ms)),
                 ("speedup", Value::Num(serial_ms / parallel_ms.max(1e-9))),
-                // Phase timing for the dataflow engine (KVS-L017 …
-                // KVS-L019): the rules run identically in both modes —
-                // only the file scan is parallel — so the two numbers
-                // bracket the engine's per-run jitter.
-                ("dataflow_serial_ms", Value::Num(serial.dataflow_ms)),
-                ("dataflow_parallel_ms", Value::Num(parallel.dataflow_ms)),
             ]),
         ),
     ]);

@@ -1,6 +1,5 @@
-//! Semantic passes over token trees: KVS-L009 … KVS-L012, the
-//! interprocedural rules KVS-L014 … KVS-L016, and the dataflow-engine
-//! rules KVS-L017 … KVS-L019 (see [`crate::dataflow`]).
+//! Semantic passes over token trees: KVS-L009 … KVS-L011 and the
+//! interprocedural rules KVS-L014 … KVS-L016.
 //!
 //! These are whole-program checks in the spirit of lightweight model
 //! checking — not a runtime explorer, but build-time extraction of the
@@ -21,9 +20,6 @@
 //!   once, at frame construction, per the frame-kind contract — the class
 //!   of bug where a refactor drops the in-db timing and the model fit
 //!   silently degrades.
-//! * **KVS-L012** requires every `match` on the frame kind in
-//!   `master.rs`/`server.rs`/`chaos.rs` to handle all kinds declared in
-//!   `frame.rs`, or to carry an explicitly waived wildcard.
 //! * **KVS-L014** walks the workspace call graph ([`crate::callgraph`])
 //!   from every function anchored `// LINT-ZONE: nonblocking` and fails
 //!   if any blocking op (lock/condvar wait, blocking socket or file I/O,
@@ -43,27 +39,6 @@
 //!   every call site is checked instead — passing a literal `0` or
 //!   `u64::MAX` mints a fresh no-deadline frame and breaks expiry
 //!   propagation.
-//! * **KVS-L017** runs the [`crate::dataflow`] taint engine over the
-//!   wire-decode files (`frame.rs`, `server.rs`, `master.rs`,
-//!   `chaos.rs`): any value derived from `from_be_bytes`/`from_le_bytes`
-//!   is untrusted and must pass a validated bound (a comparison against
-//!   an ALL-CAPS constant or `.min(…)`/`.clamp(…)`) before reaching an
-//!   allocation, slice index or loop bound. Interprocedural via the
-//!   bottom-up summaries; the finding carries the full
-//!   `file:line → file:line` flow.
-//! * **KVS-L018** extends KVS-L001 from a call-site ban to value flow:
-//!   a wall-clock/RNG-derived value (including the sanctioned
-//!   `wall_ns()` portal and tainted returns of helpers that read it)
-//!   must not flow through arguments or returns into the L001
-//!   deterministic zones. `crates/bench/` callers are exempt — the
-//!   bench lane feeds *measured* timings to the model as data.
-//! * **KVS-L019** must-reach receipt accounting on the durable read
-//!   paths (`durable.rs`, `sst_file.rs`): in any function with a
-//!   `ReadReceipt` in scope, every CFG path that performs a disk block
-//!   read (`read_exact`/`read_exact_at`) must charge the receipt before
-//!   returning. The read's own `?` error edge is exempt (a failed read
-//!   moved no bytes); calls to same-file helpers that charge count as
-//!   charges.
 //!
 //! Heuristic boundaries (documented so nobody re-learns them): lock
 //! identity is the receiver's trailing field/binding name, crate-
@@ -84,29 +59,20 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::callgraph::{self, CallGraph, EdgeKind};
 use crate::cfg;
-use crate::dataflow;
 use crate::rules::{Diagnostic, Workspace};
 use crate::scan::SourceFile;
 use crate::token::{Tok, TokKind};
 use crate::tree::{self, Delim, Group, Tree};
 
-/// Runs all semantic passes. Returns the wall-clock milliseconds spent
-/// in the dataflow-engine passes (KVS-L017 … KVS-L019, including
-/// summary construction) — the bench lane's `dataflow_ms`.
-pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) -> f64 {
+/// Runs all semantic passes.
+pub fn run(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     let cg = callgraph::build(ws);
     lock_order(ws, &cg, out);
     channel_topology(ws, out);
     stamp_dataflow(ws, out);
-    kind_exhaustiveness(ws, out);
     blocking_reachability(&cg, out);
     crash_ordering(ws, &cg, out);
     deadline_propagation(ws, &cg, out);
-    let t0 = std::time::Instant::now();
-    wire_taint(ws, &cg, out);
-    determinism_escape(ws, &cg, out);
-    receipt_accounting(ws, &cg, out);
-    t0.elapsed().as_secs_f64() * 1e3
 }
 
 /// Call names that block the calling thread: condvar and channel waits,
@@ -1000,186 +966,6 @@ fn check_stamp_mutations(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 // ---------------------------------------------------------------------------
-// KVS-L012: frame-kind exhaustiveness.
-// ---------------------------------------------------------------------------
-
-fn kind_scope(rel: &str) -> bool {
-    rel.starts_with("crates/net/src/")
-        && (rel.ends_with("/master.rs")
-            || rel.ends_with("/server.rs")
-            || rel.ends_with("/chaos.rs")
-            || rel.ends_with("/write_path.rs"))
-}
-
-/// Variant names of `enum FrameKind` in `frame.rs`, in declaration order.
-fn frame_kind_variants(ws: &Workspace) -> Option<Vec<String>> {
-    let f = ws
-        .files
-        .iter()
-        .find(|f| f.rel == "crates/net/src/frame.rs")?;
-    let src = f.text.as_str();
-    let trees = tree::build(src, &f.toks);
-    variants_in(src, &f.toks, &trees)
-}
-
-fn variants_in(src: &str, toks: &[Tok], trees: &[Tree]) -> Option<Vec<String>> {
-    for (i, t) in trees.iter().enumerate() {
-        if leaf_text(src, toks, t) == Some("enum")
-            && leaf_text(src, toks, trees.get(i + 1)?) == Some("FrameKind")
-        {
-            if let Some(Tree::Group(g)) = trees.get(i + 2) {
-                let mut names = Vec::new();
-                let mut take_next = true;
-                for c in &g.children {
-                    if is_punct(src, toks, c, ",") {
-                        take_next = true;
-                    } else if take_next && is_ident(src, toks, c) {
-                        names.push(leaf_text(src, toks, c)?.to_string());
-                        take_next = false;
-                    }
-                }
-                return Some(names);
-            }
-        }
-        if let Tree::Group(g) = t {
-            if let Some(v) = variants_in(src, toks, &g.children) {
-                return Some(v);
-            }
-        }
-    }
-    None
-}
-
-fn kind_exhaustiveness(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    let Some(kinds) = frame_kind_variants(ws) else {
-        return; // fixture trees without a frame.rs skip the rule
-    };
-    for f in &ws.files {
-        if !kind_scope(&f.rel) {
-            continue;
-        }
-        let src = f.text.as_str();
-        let trees = tree::build(src, &f.toks);
-        check_matches(f, src, &trees, &kinds, out);
-    }
-}
-
-fn check_matches(
-    f: &SourceFile,
-    src: &str,
-    trees: &[Tree],
-    kinds: &[String],
-    out: &mut Vec<Diagnostic>,
-) {
-    let toks = &f.toks;
-    for (i, t) in trees.iter().enumerate() {
-        if let Tree::Group(g) = t {
-            check_matches(f, src, &g.children, kinds, out);
-        }
-        if leaf_text(src, toks, t) != Some("match") {
-            continue;
-        }
-        let line = leaf_line(toks, t);
-        if f.line_in_test(line) {
-            continue;
-        }
-        // The match body: the next brace group among the siblings.
-        let Some(body) = trees[i + 1..].iter().find_map(|t| match t {
-            Tree::Group(g) if g.delim == Delim::Brace => Some(g),
-            _ => None,
-        }) else {
-            continue;
-        };
-        let arms = arm_patterns(src, toks, body);
-        if !arms.iter().any(|p| p.contains("FrameKind::")) {
-            continue; // not a frame-kind match (codec kinds, byte values…)
-        }
-        let named: Vec<&String> = kinds
-            .iter()
-            .filter(|k| arms.iter().any(|p| p.contains(&format!("FrameKind::{k}"))))
-            .collect();
-        let has_wildcard = arms.iter().any(|p| {
-            let p = p.trim();
-            p == "_" || p.chars().all(|c| c.is_alphanumeric() || c == '_') && !p.is_empty()
-        });
-        let missing: Vec<&String> = kinds.iter().filter(|k| !named.contains(k)).collect();
-        if missing.is_empty() {
-            continue;
-        }
-        let list = missing
-            .iter()
-            .map(|s| s.as_str())
-            .collect::<Vec<_>>()
-            .join(", ");
-        if has_wildcard {
-            out.push(Diagnostic {
-                rule: "KVS-L012",
-                path: f.rel.clone(),
-                line,
-                message: format!(
-                    "wildcard arm hides frame kind(s) {list} — name every kind so a new \
-                     FrameKind cannot be silently swallowed, or waive the wildcard"
-                ),
-            });
-        } else {
-            out.push(Diagnostic {
-                rule: "KVS-L012",
-                path: f.rel.clone(),
-                line,
-                message: format!("frame-kind match does not handle {list} and has no wildcard arm"),
-            });
-        }
-    }
-}
-
-/// The pattern text of each arm in a match body: tokens up to `=>`, with
-/// arm bodies (block or expression-until-`,`) skipped.
-fn arm_patterns(src: &str, toks: &[Tok], body: &Group) -> Vec<String> {
-    let ch = &body.children;
-    let mut arms = Vec::new();
-    let mut i = 0;
-    while i < ch.len() {
-        // Collect the pattern until `=>`.
-        let start = i;
-        let mut fat_arrow = None;
-        while i < ch.len() {
-            if is_punct(src, toks, &ch[i], "=")
-                && ch.get(i + 1).is_some_and(|t| is_punct(src, toks, t, ">"))
-            {
-                fat_arrow = Some(i);
-                break;
-            }
-            i += 1;
-        }
-        let Some(arrow) = fat_arrow else {
-            break;
-        };
-        arms.push(
-            ch[start..arrow]
-                .iter()
-                .map(|t| tree::text_of(src, toks, std::slice::from_ref(t)))
-                .collect::<String>(),
-        );
-        i = arrow + 2;
-        // Skip the arm body: a block ends the arm; otherwise scan to `,`.
-        if let Some(Tree::Group(g)) = ch.get(i) {
-            if g.delim == Delim::Brace {
-                i += 1;
-                if ch.get(i).is_some_and(|t| is_punct(src, toks, t, ",")) {
-                    i += 1;
-                }
-                continue;
-            }
-        }
-        while i < ch.len() && !is_punct(src, toks, &ch[i], ",") {
-            i += 1;
-        }
-        i += 1;
-    }
-    arms
-}
-
-// ---------------------------------------------------------------------------
 // KVS-L014: blocking-call reachability from non-blocking zones.
 // ---------------------------------------------------------------------------
 
@@ -1502,403 +1288,6 @@ fn deadline_propagation(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic
     }
 }
 
-// ---------------------------------------------------------------------------
-// KVS-L017 … KVS-L019: the dataflow-engine rules.
-// ---------------------------------------------------------------------------
-
-/// Files whose `from_be_bytes`/`from_le_bytes` results decode socket
-/// bytes and are therefore untrusted wire input (suffix-matched so the
-/// rule also runs on fixture trees mirroring the layout).
-const WIRE_FILES: &[&str] = &[
-    "net/src/frame.rs",
-    "net/src/server.rs",
-    "net/src/master.rs",
-    "net/src/chaos.rs",
-];
-
-fn wire_scope(rel: &str) -> bool {
-    WIRE_FILES.iter().any(|s| rel.ends_with(s))
-}
-
-/// KVS-L017's taint spec: wire decodes are sources; allocations sized
-/// from them, slice indexing and loop bounds are sinks.
-const WIRE_SPEC: dataflow::TaintSpec<'static> = dataflow::TaintSpec {
-    sources: &["from_be_bytes(", "from_le_bytes("],
-    sink_calls: &[
-        ("with_capacity(", "allocation"),
-        (".reserve(", "allocation"),
-        (".resize(", "allocation"),
-        ("vec![", "allocation"),
-    ],
-    index_sinks: true,
-};
-
-/// KVS-L017: untrusted wire-input taint. Summaries are built workspace-
-/// wide (so a decode helper in another file still taints its callers),
-/// but findings are reported only for functions living in the wire
-/// files — `from_be_bytes` on locally produced data (store block
-/// decode, checksums) is not wire input.
-fn wire_taint(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
-    if !ws.files.iter().any(|f| wire_scope(&f.rel)) {
-        return;
-    }
-    let summaries = dataflow::TaintSummaries::build(ws, cg, &WIRE_SPEC);
-    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    for (fid, info) in cg.fns.iter().enumerate() {
-        if !wire_scope(&info.file) {
-            continue;
-        }
-        for ss in &summaries.by_fn[fid].source_sinks {
-            let message = format!(
-                "untrusted wire length: {} (line {}) reaches {} without a validated \
-                 bound — compare against a MAX_PAYLOAD-style limit first; flow: {}",
-                ss.what, ss.source_line, ss.hit.kind, ss.hit.chain
-            );
-            if seen.insert((info.file.clone(), ss.hit.line, message.clone())) {
-                out.push(Diagnostic {
-                    rule: "KVS-L017",
-                    path: info.file.clone(),
-                    line: ss.hit.line,
-                    message,
-                });
-            }
-        }
-    }
-}
-
-/// Wall-clock and RNG portals whose results must not flow into the
-/// deterministic zones. `wall_ns(` is the *sanctioned* live portal —
-/// L001 allows calling it anywhere — but its value is still host time
-/// and smuggling it into a zone breaks replayability just the same.
-const TIME_SOURCES: &[&str] = &[
-    "SystemTime::now(",
-    "Instant::now(",
-    "wall_ns(",
-    "thread_rng(",
-    "from_entropy(",
-    "rand::random(",
-];
-
-const TIME_SPEC: dataflow::TaintSpec<'static> = dataflow::TaintSpec {
-    sources: TIME_SOURCES,
-    sink_calls: &[],
-    index_sinks: false,
-};
-
-/// Callers exempt from KVS-L018: the bench lane feeds *measured*
-/// timings to the model as data (that is its whole purpose), and the
-/// linter itself times its phases.
-fn time_exempt_caller(rel: &str) -> bool {
-    rel.starts_with("crates/bench/") || rel.starts_with("crates/lint/")
-}
-
-/// True when the source line at a call site is plausibly a call to
-/// *this specific* callee. The call graph resolves `Path` calls whose
-/// qualifier matches no workspace type by name alone, so `Instant::now()`
-/// aliases every workspace `now()`; L018 must not report through such
-/// edges. Accepts `Q::name(…)` only when `Q` is the callee's receiver
-/// (or a module-looking lowercase path segment and the callee is a free
-/// function), bare `name(…)` only for free callees, and `self.name(…)`
-/// only within the callee's own impl.
-fn plausible_call(
-    line_text: &str,
-    caller: &callgraph::FnInfo,
-    callee: &callgraph::FnInfo,
-    name: &str,
-) -> bool {
-    let pat = format!("{name}(");
-    let b = line_text.as_bytes();
-    let mut from = 0;
-    while let Some(p) = line_text[from..].find(&pat) {
-        let start = from + p;
-        from = start + 1;
-        if start > 0 && ((b[start - 1] as char).is_ascii_alphanumeric() || b[start - 1] == b'_') {
-            continue; // substring of a longer identifier
-        }
-        let before = &line_text[..start];
-        if let Some(qpath) = before.strip_suffix("::") {
-            let q: String = qpath
-                .chars()
-                .rev()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect::<Vec<_>>()
-                .into_iter()
-                .rev()
-                .collect();
-            match &callee.receiver {
-                Some(r) => {
-                    if *r == q {
-                        return true;
-                    }
-                }
-                None => {
-                    if q.starts_with(|c: char| c.is_ascii_lowercase()) {
-                        return true;
-                    }
-                }
-            }
-        } else if before.ends_with('.') {
-            if before.trim_end_matches('.').ends_with("self")
-                && callee.receiver.is_some()
-                && caller.receiver == callee.receiver
-            {
-                return true;
-            }
-        } else if callee.receiver.is_none() {
-            return true;
-        }
-    }
-    false
-}
-
-/// KVS-L018: determinism escape by value flow. Two directions:
-///
-/// * a non-zone function passes a time/RNG-derived value (directly, or
-///   a variable the taint engine tracked — including tainted returns of
-///   helpers) as an argument to a function living in a deterministic
-///   zone;
-/// * a zone function calls a non-zone function whose summary says the
-///   return value carries time/RNG taint.
-///
-/// Heuristic boundaries: a non-zone function that merely *forwards its
-/// own parameter* into a zone call is not flagged (the caller passing
-/// time into it is, one level up, only if that call site is itself a
-/// zone call) — mark such conduits with `// LINT-TAINT-SOURCE` when the
-/// parameter is known to carry host time. Pure value constructors
-/// (`new`, `from_*`, `with_*`) are exempt sinks: wrapping a measured
-/// duration into a typed sim value is the sanctioned live→sim bridge.
-/// And because the call graph aliases unqualified names workspace-wide,
-/// an edge only counts when the call site text plausibly names the
-/// callee ([`plausible_call`]).
-fn determinism_escape(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
-    use crate::rules::in_deterministic_zone;
-    let resolved =
-        |k: &EdgeKind| matches!(k, EdgeKind::Free | EdgeKind::SelfMethod | EdgeKind::Path);
-    // Collect the call edges the rule cares about before paying for
-    // summaries: non-zone → zone (taint-in) and zone → non-zone
-    // (taint-back-via-return).
-    let by_rel: BTreeMap<&str, &SourceFile> =
-        ws.files.iter().map(|f| (f.rel.as_str(), f)).collect();
-    let line_code = |rel: &str, line: usize| -> String {
-        by_rel
-            .get(rel)
-            .and_then(|f| f.lines.get(line.checked_sub(1)?))
-            .map(|l| l.code.clone())
-            .unwrap_or_default()
-    };
-    let mut into_zone: Vec<(usize, usize, usize, String)> = Vec::new(); // caller, callee, line, name
-    let mut from_zone: Vec<(usize, usize, usize, String)> = Vec::new();
-    for (fid, info) in cg.fns.iter().enumerate() {
-        let caller_zone = in_deterministic_zone(&info.file);
-        for e in &cg.edges[fid] {
-            if !resolved(&e.kind) {
-                continue;
-            }
-            let callee_zone = in_deterministic_zone(&cg.fns[e.callee].file);
-            if caller_zone == callee_zone {
-                continue;
-            }
-            if !plausible_call(
-                &line_code(&info.file, e.line),
-                info,
-                &cg.fns[e.callee],
-                &e.name,
-            ) {
-                continue;
-            }
-            // Pure value constructors (`new`, `from_*`, `with_*`) wrap a
-            // measured value into a typed one — that is data plumbing
-            // (the live→sim measurement bridge), not zone behavior.
-            // The escape fires when the value reaches a zone call that
-            // *does* something with it.
-            let constructor =
-                e.name == "new" || e.name.starts_with("from_") || e.name.starts_with("with_");
-            if !caller_zone && !time_exempt_caller(&info.file) && !constructor {
-                into_zone.push((fid, e.callee, e.line, e.name.clone()));
-            } else if caller_zone {
-                from_zone.push((fid, e.callee, e.line, e.name.clone()));
-            }
-        }
-    }
-    if into_zone.is_empty() && from_zone.is_empty() {
-        return;
-    }
-    let summaries = dataflow::TaintSummaries::build(ws, cg, &TIME_SPEC);
-    let mut seen: BTreeSet<(String, usize, String)> = BTreeSet::new();
-    let mut emit = |path: &str, line: usize, message: String, out: &mut Vec<Diagnostic>| {
-        if seen.insert((path.to_string(), line, message.clone())) {
-            out.push(Diagnostic {
-                rule: "KVS-L018",
-                path: path.to_string(),
-                line,
-                message,
-            });
-        }
-    };
-    for (fid, callee, line, name) in from_zone {
-        if summaries.by_fn[callee].returns_source {
-            emit(
-                &cg.fns[fid].file,
-                line,
-                format!(
-                    "deterministic zone calls `{name}()`, whose return carries a \
-                     wall-clock/RNG-derived value — take time from simcore::time \
-                     or thread it in as an explicit parameter"
-                ),
-                out,
-            );
-        }
-    }
-    // Group the taint-in edges by caller so each caller's flow is
-    // computed once.
-    let mut by_caller: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
-    for (fid, _callee, line, name) in into_zone {
-        by_caller.entry(fid).or_default().push((line, name));
-    }
-    for (fid, sites) in by_caller {
-        let file = cg.fns[fid].file.clone();
-        let Some((g, flow, facts)) = dataflow::flow_for(ws, cg, fid, &TIME_SPEC, &summaries) else {
-            continue;
-        };
-        for (line, name) in sites {
-            let callpat = format!("{name}(");
-            for n in 1..g.stmts.len() {
-                if g.stmts[n].line != line || !g.stmts[n].text.contains(callpat.as_str()) {
-                    continue;
-                }
-                let text = &g.stmts[n].text;
-                // Direct: a portal read inside the call's own statement.
-                for sp in TIME_SOURCES {
-                    if text.contains(sp) {
-                        emit(
-                            &file,
-                            line,
-                            format!(
-                                "`{}` flows into deterministic-zone call `{name}()` — \
-                                 zones must take time/randomness from simcore, not \
-                                 the host; flow: {file}:{line}",
-                                sp.trim_end_matches('(')
-                            ),
-                            out,
-                        );
-                    }
-                }
-                // Tracked: a variable tainted earlier in the function.
-                for &f in flow.ins[n].iter() {
-                    let (origin, var) = &facts[f as usize];
-                    let dataflow::Origin::Source {
-                        line: src_line,
-                        what,
-                    } = origin
-                    else {
-                        continue;
-                    };
-                    if !ident_mentions(text, var) {
-                        continue;
-                    }
-                    emit(
-                        &file,
-                        line,
-                        format!(
-                            "`{var}` carries {what} (line {src_line}) into \
-                             deterministic-zone call `{name}()` — zones must take \
-                             time/randomness from simcore, not the host; flow: \
-                             {file}:{src_line} → {file}:{line}"
-                        ),
-                        out,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Identifier-boundary substring: `needle` appears in `hay` not glued
-/// to another identifier character on either side.
-fn ident_mentions(hay: &str, needle: &str) -> bool {
-    let b = hay.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let before_ok =
-            start == 0 || !((b[start - 1] as char).is_ascii_alphanumeric() || b[start - 1] == b'_');
-        let after_ok =
-            end >= b.len() || !((b[end] as char).is_ascii_alphanumeric() || b[end] == b'_');
-        if before_ok && after_ok {
-            return true;
-        }
-        from = start + 1;
-    }
-    false
-}
-
-fn receipt_scope(rel: &str) -> bool {
-    rel.ends_with("store/src/durable.rs") || rel.ends_with("store/src/sst_file.rs")
-}
-
-/// KVS-L019: receipt accounting on the durable read paths. In any
-/// non-test function in `durable.rs`/`sst_file.rs` with a receipt in
-/// scope (the rule checks accounting *completeness* where accounting
-/// exists, not coverage), every CFG path performing a disk block read
-/// must charge the receipt — directly (`receipt.… += …` /
-/// `receipt.… = true`) or by calling a same-scope helper that charges —
-/// before reaching the exit. The read's own `?` error edge is exempt.
-fn receipt_accounting(ws: &Workspace, cg: &CallGraph, out: &mut Vec<Diagnostic>) {
-    let is_direct_charge =
-        |text: &str| text.contains("receipt.") && (text.contains("+=") || text.contains("=true"));
-    // Helper functions whose body charges a receipt: calling them
-    // counts as charging (`self.charge(receipt)` style indirection).
-    let mut charge_helpers: BTreeSet<String> = BTreeSet::new();
-    let mut fns: Vec<(&SourceFile, usize, cfg::Cfg)> = Vec::new();
-    for f in &ws.files {
-        if !receipt_scope(&f.rel) {
-            continue;
-        }
-        let trees = tree::build(&f.text, &f.toks);
-        for def in tree::functions(&f.text, &f.toks, &trees) {
-            if f.line_in_test(def.line) {
-                continue;
-            }
-            let g = cfg::build(&f.text, &f.toks, def.body);
-            if !g.find(|t| is_direct_charge(t)).is_empty() {
-                charge_helpers.insert(def.name.clone());
-            }
-            fns.push((f, def.line, g));
-        }
-    }
-    let is_charge = |text: &str| {
-        is_direct_charge(text)
-            || charge_helpers
-                .iter()
-                .any(|h| text.contains(&format!("{h}(")) && ident_mentions(text, h))
-    };
-    let is_read = |text: &str| text.contains("read_exact");
-    for (f, fn_line, g) in &fns {
-        // Receipt in scope: a parameter or any statement names it.
-        let param_receipt = cg
-            .fn_at(&f.rel, *fn_line)
-            .is_some_and(|id| cg.fns[id].params.iter().any(|p| p == "receipt"));
-        let in_scope = param_receipt || !g.find(|t| ident_mentions(t, "receipt")).is_empty();
-        if !in_scope {
-            continue;
-        }
-        for ob in dataflow::uncharged_paths(g, &f.rel, &is_read, &is_charge) {
-            out.push(Diagnostic {
-                rule: "KVS-L019",
-                path: f.rel.clone(),
-                line: ob.read_line,
-                message: format!(
-                    "disk block read can reach the function exit without charging the \
-                     ReadReceipt — the bench observability silently rots; escaping \
-                     path: {}",
-                    ob.witness
-                ),
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1918,7 +1307,7 @@ mod tests {
 
     fn run_on(files: &[(&str, &str)]) -> Vec<Diagnostic> {
         let mut out = Vec::new();
-        let _ms = run(&ws_of(files), &mut out);
+        run(&ws_of(files), &mut out);
         out
     }
 
@@ -2023,27 +1412,6 @@ mod tests {
         assert_eq!(out.len(), 1, "{out:#?}");
         assert_eq!(out[0].rule, "KVS-L011");
         assert!(out[0].message.contains("in-db end"), "{}", out[0].message);
-    }
-
-    #[test]
-    fn wildcard_match_on_frame_kind_is_flagged() {
-        let frame = "pub enum FrameKind { Request, Response, Busy, Expired }\n";
-        let master = "fn on(kind: FrameKind) { match kind { FrameKind::Busy => {}, _ => {} } }\n";
-        let out = run_on(&[
-            ("crates/net/src/frame.rs", frame),
-            ("crates/net/src/master.rs", master),
-        ]);
-        assert_eq!(out.len(), 1, "{out:#?}");
-        assert_eq!(out[0].rule, "KVS-L012");
-        assert!(out[0].message.contains("Request"), "{}", out[0].message);
-        let full = "fn on(kind: FrameKind) { match kind {\n\
-                    FrameKind::Request => {}\n    FrameKind::Response => {}\n\
-                    FrameKind::Busy => {}\n    FrameKind::Expired => {}\n} }\n";
-        assert!(run_on(&[
-            ("crates/net/src/frame.rs", frame),
-            ("crates/net/src/master.rs", full),
-        ])
-        .is_empty());
     }
 
     #[test]
@@ -2179,177 +1547,5 @@ mod tests {
             "{}",
             l016[0].message
         );
-    }
-
-    // ---- KVS-L017: untrusted wire-input taint -----------------------
-
-    #[test]
-    fn wire_length_reaching_allocation_unvalidated_is_flagged() {
-        let bad = "pub fn read_frame(buf: &[u8]) -> Vec<u8> {\n\
-                   let len = u32::from_be_bytes(buf[0..4].try_into().expect(\"4\")) as usize;\n\
-                   let payload = Vec::with_capacity(len);\n\
-                   payload }\n";
-        let out = run_on(&[("crates/net/src/frame.rs", bad)]);
-        let l017: Vec<_> = out.iter().filter(|d| d.rule == "KVS-L017").collect();
-        assert_eq!(l017.len(), 1, "{out:#?}");
-        assert_eq!(l017[0].line, 3);
-        assert!(
-            l017[0].message.contains("allocation"),
-            "{}",
-            l017[0].message
-        );
-        assert!(
-            l017[0]
-                .message
-                .contains("crates/net/src/frame.rs:2 → crates/net/src/frame.rs:3"),
-            "witness chain should run source to sink: {}",
-            l017[0].message
-        );
-    }
-
-    #[test]
-    fn bounds_check_sanitizes_the_wire_length() {
-        let ok = "pub fn read_frame(buf: &[u8]) -> Result<Vec<u8>, Error> {\n\
-                  let len = u32::from_be_bytes(buf[0..4].try_into().expect(\"4\"));\n\
-                  if len > MAX_PAYLOAD { return Err(Error::TooLarge(len)); }\n\
-                  let payload = Vec::with_capacity(len as usize);\n\
-                  Ok(payload) }\n";
-        let out = run_on(&[("crates/net/src/frame.rs", ok)]);
-        assert!(
-            out.iter().all(|d| d.rule != "KVS-L017"),
-            "validated length must not be flagged: {out:#?}"
-        );
-    }
-
-    #[test]
-    fn non_wire_files_are_out_of_l017_scope() {
-        let src = "pub fn decode(buf: &[u8]) -> Vec<u8> {\n\
-                   let len = u32::from_be_bytes(buf[0..4].try_into().expect(\"4\")) as usize;\n\
-                   Vec::with_capacity(len) }\n";
-        // Same shape, but store-side block decode works on locally
-        // produced data — a wire file elsewhere keeps the pass alive.
-        let out = run_on(&[
-            ("crates/store/src/block.rs", src),
-            ("crates/net/src/frame.rs", "pub fn ping() {}\n"),
-        ]);
-        assert!(out.iter().all(|d| d.rule != "KVS-L017"), "{out:#?}");
-    }
-
-    // ---- KVS-L018: determinism escape -------------------------------
-
-    #[test]
-    fn tracked_wall_clock_value_into_zone_call_is_flagged() {
-        let zone = "pub fn advance(model: &mut Model, now: u64) { model.t = now; }\n";
-        let live = "pub fn tick(model: &mut Model) {\n\
-                    let host_now = wall_ns();\n\
-                    advance(model, host_now); }\n";
-        let out = run_on(&[
-            ("crates/simcore/src/model.rs", zone),
-            ("crates/net/src/server.rs", live),
-        ]);
-        let l018: Vec<_> = out.iter().filter(|d| d.rule == "KVS-L018").collect();
-        assert_eq!(l018.len(), 1, "{out:#?}");
-        assert_eq!(l018[0].path, "crates/net/src/server.rs");
-        assert_eq!(l018[0].line, 3);
-        assert!(
-            l018[0].message.contains("host_now")
-                && l018[0]
-                    .message
-                    .contains("crates/net/src/server.rs:2 → crates/net/src/server.rs:3"),
-            "{}",
-            l018[0].message
-        );
-    }
-
-    #[test]
-    fn zone_calling_a_time_returning_helper_is_flagged() {
-        let live = "pub fn host_nanos() -> u64 { wall_ns() }\n";
-        let zone = "pub fn advance(model: &mut Model) { model.t = host_nanos(); }\n";
-        let out = run_on(&[
-            ("crates/net/src/server.rs", live),
-            ("crates/simcore/src/model.rs", zone),
-        ]);
-        let l018: Vec<_> = out.iter().filter(|d| d.rule == "KVS-L018").collect();
-        assert_eq!(l018.len(), 1, "{out:#?}");
-        assert_eq!(l018[0].path, "crates/simcore/src/model.rs");
-        assert!(
-            l018[0].message.contains("host_nanos"),
-            "{}",
-            l018[0].message
-        );
-    }
-
-    #[test]
-    fn sim_parameters_and_constructors_stay_clean() {
-        // Passing a *sim-derived* value into a zone is fine, and so is
-        // wrapping a measured duration via a `from_*` constructor (the
-        // sanctioned live→sim bridge).
-        let zone = "pub fn advance(model: &mut Model, now: u64) { model.t = now; }\n\
-                    impl SimTime { pub fn from_nanos(n: u64) -> SimTime { SimTime(n) } }\n";
-        let live = "pub fn tick(model: &mut Model, sim_now: u64) {\n\
-                    advance(model, sim_now);\n\
-                    let w = wall_ns();\n\
-                    let _bridge = SimTime::from_nanos(w); }\n";
-        let out = run_on(&[
-            ("crates/simcore/src/model.rs", zone),
-            ("crates/net/src/server.rs", live),
-        ]);
-        assert!(out.iter().all(|d| d.rule != "KVS-L018"), "{out:#?}");
-    }
-
-    // ---- KVS-L019: receipt accounting -------------------------------
-
-    #[test]
-    fn read_escaping_before_the_charge_is_flagged_with_a_path() {
-        let bad =
-            "pub fn load(file: &mut File, receipt: &mut ReadReceipt) -> io::Result<Vec<u8>> {\n\
-                   let mut buf = vec![0u8; 64];\n\
-                   file.read_exact(&mut buf)?;\n\
-                   if fnv64(&buf) != expected { return Err(corrupt()); }\n\
-                   receipt.disk_blocks_read += 1;\n\
-                   Ok(buf) }\n";
-        let out = run_on(&[("crates/store/src/sst_file.rs", bad)]);
-        let l019: Vec<_> = out.iter().filter(|d| d.rule == "KVS-L019").collect();
-        assert_eq!(l019.len(), 1, "{out:#?}");
-        assert_eq!(l019[0].line, 3);
-        assert!(
-            l019[0]
-                .message
-                .contains("crates/store/src/sst_file.rs:3 → crates/store/src/sst_file.rs:4"),
-            "the escaping path should pass the early return: {}",
-            l019[0].message
-        );
-    }
-
-    #[test]
-    fn charging_before_branching_satisfies_every_path() {
-        let ok =
-            "pub fn load(file: &mut File, receipt: &mut ReadReceipt) -> io::Result<Vec<u8>> {\n\
-                  let mut buf = vec![0u8; 64];\n\
-                  file.read_exact(&mut buf)?;\n\
-                  receipt.disk_blocks_read += 1;\n\
-                  if fnv64(&buf) != expected { return Err(corrupt()); }\n\
-                  Ok(buf) }\n";
-        assert!(run_on(&[("crates/store/src/sst_file.rs", ok)])
-            .iter()
-            .all(|d| d.rule != "KVS-L019"));
-    }
-
-    #[test]
-    fn receiptless_functions_and_helper_charges_are_clean() {
-        // No receipt in scope → the rule measures accounting
-        // completeness, not coverage; and charging through a same-scope
-        // helper counts.
-        let src = "pub fn raw(file: &mut File) -> io::Result<()> {\n\
-                   let mut b = [0u8; 8]; file.read_exact(&mut b)?; Ok(()) }\n\
-                   pub fn charge(receipt: &mut ReadReceipt) { receipt.disk_blocks_read += 1; }\n\
-                   pub fn load(file: &mut File, receipt: &mut ReadReceipt) -> io::Result<()> {\n\
-                   let mut b = [0u8; 8];\n\
-                   file.read_exact(&mut b)?;\n\
-                   charge(receipt);\n\
-                   Ok(()) }\n";
-        assert!(run_on(&[("crates/store/src/durable.rs", src)])
-            .iter()
-            .all(|d| d.rule != "KVS-L019"));
     }
 }

@@ -5,31 +5,25 @@
 //! |---|---|
 //! | KVS-L001 | determinism guard: no ambient clock/RNG where runs must replay |
 //! | KVS-L002 | protocol drift: frame constants vs the documented tables |
-//! | KVS-L003 | no `let _ =` result drops in `net`/`cluster`/persistence hot paths |
-//! | KVS-L004 | no `unwrap()`/`expect()` in `net`/`cluster`/persistence hot paths |
 //! | KVS-L005 | every `unsafe` carries a `SAFETY:` comment |
-//! | KVS-L006 | `std::sync::Mutex` forbidden where `parking_lot` is standard |
 //! | KVS-L007 | no lock guard held across a blocking socket/channel call |
 //! | KVS-L008 | comment contracts: send-seq monotonicity, Busy re-arm |
 //! | KVS-L009 | lock-order: the acquired-while-held graph must be acyclic |
 //! | KVS-L010 | channel topology: bounded channels, every sender drained |
 //! | KVS-L011 | stage stamps: every stamps slot written exactly once |
-//! | KVS-L012 | frame kinds: FrameKind matches handle every declared kind |
 //! | KVS-L013 | store-format drift: WAL/SSTable constants vs documented tables |
 //! | KVS-L014 | non-blocking zones must not transitively reach blocking ops |
 //! | KVS-L015 | crash ordering: write → fsync → rename → dir-fsync, GC after commit |
 //! | KVS-L016 | deadline propagation: v2 frames thread the incoming deadline |
-//! | KVS-L017 | wire-input taint: untrusted lengths bounded before allocation/indexing |
-//! | KVS-L018 | determinism escape: no wall-clock/RNG value flow into L001 zones |
-//! | KVS-L019 | receipt accounting: every disk block read charges the ReadReceipt |
 //!
-//! KVS-L007 and KVS-L009 are interprocedural since PR 9: they resolve
-//! calls through the workspace call graph ([`crate::callgraph`]) instead
-//! of a per-file name index. L014–L016 are implemented in
-//! [`crate::passes`] on top of the call graph and the per-function CFG
-//! ([`crate::cfg`]). L017–L019 run on the gen/kill dataflow engine
-//! ([`crate::dataflow`]): interprocedural taint with bottom-up function
-//! summaries and must-reach obligation analysis.
+//! KVS-L007 and KVS-L009 are interprocedural: they resolve calls through
+//! the workspace call graph ([`crate::callgraph`]) instead of a per-file
+//! name index. L014–L016 are implemented in [`crate::passes`] on top of
+//! the call graph and the per-function CFG ([`crate::cfg`]).
+//!
+//! Seven former rules (L003, L004, L006, L012, L017–L019) now live in
+//! types, constructors and stock clippy lints; `docs/LINT.md` maps each
+//! retired ID to its replacement. Their IDs are not reused.
 //!
 //! `KVS-L000` is reserved for the waiver machinery itself (a stale waiver
 //! that matches nothing is an error — waivers must not outlive the code
@@ -40,7 +34,7 @@ use crate::scan::SourceFile;
 /// One finding: a rule violated at a specific file and line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule ID (`KVS-L001` … `KVS-L019`, `KVS-L000` for waiver
+    /// Stable rule ID (`KVS-L001` … `KVS-L016`, `KVS-L000` for waiver
     /// and baseline machinery errors).
     pub rule: &'static str,
     /// Path relative to the workspace root, `/`-separated.
@@ -65,28 +59,16 @@ impl std::fmt::Display for Diagnostic {
 pub const RULES: &[(&str, &str)] = &[
     (
         "KVS-L001",
-        "determinism guard: no SystemTime::now/Instant::now/ambient RNG in code that must replay",
+        "determinism guard: no SystemTime::now/Instant::now/wall_ns/ambient RNG in code that must \
+         replay",
     ),
     (
         "KVS-L002",
         "protocol drift: frame.rs constants must match the frame tables in frame.rs and docs/NET.md",
     ),
     (
-        "KVS-L003",
-        "error discipline: no `let _ =` result drops in net/cluster/persistence non-test code",
-    ),
-    (
-        "KVS-L004",
-        "error discipline: no .unwrap()/.expect() in net/cluster/persistence non-test code \
-         without a waiver",
-    ),
-    (
         "KVS-L005",
         "every `unsafe` block needs a `// SAFETY:` comment on or directly above it",
-    ),
-    (
-        "KVS-L006",
-        "lock hygiene: std::sync::Mutex forbidden in crate code (use the parking_lot shim)",
     ),
     (
         "KVS-L007",
@@ -109,10 +91,6 @@ pub const RULES: &[(&str, &str)] = &[
         "stage stamps: every stamps[0..4] slot written exactly once, per the frame-kind contract",
     ),
     (
-        "KVS-L012",
-        "frame kinds: matches on FrameKind handle every declared kind or waive the wildcard",
-    ),
-    (
         "KVS-L013",
         "store-format drift: wal.rs/sst_file.rs constants must match their module-doc tables \
          and docs/STORE.md",
@@ -131,21 +109,6 @@ pub const RULES: &[(&str, &str)] = &[
         "KVS-L016",
         "deadline propagation: every forwarded v2 frame threads the incoming deadline — no \
          fresh 0/u64::MAX deadlines, checked across call sites",
-    ),
-    (
-        "KVS-L017",
-        "wire-input taint: values decoded from socket bytes must pass a validated bound \
-         (MAX_PAYLOAD-style) before reaching an allocation, slice index or loop bound",
-    ),
-    (
-        "KVS-L018",
-        "determinism escape: wall-clock/RNG-derived values must not flow through returns or \
-         arguments into the L001 determinism zones",
-    ),
-    (
-        "KVS-L019",
-        "receipt accounting: on durable read paths every CFG path performing a disk block \
-         read charges the ReadReceipt before returning",
     ),
 ];
 
@@ -172,26 +135,16 @@ impl Workspace {
 /// Runs every rule over the workspace and returns the findings, sorted by
 /// path and line.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
-    run_all_timed(ws).0
-}
-
-/// [`run_all`] plus the wall-clock milliseconds the dataflow-engine
-/// passes (KVS-L017 … KVS-L019, including summary construction) took —
-/// the bench lane's `dataflow_ms` phase timing.
-pub fn run_all_timed(ws: &Workspace) -> (Vec<Diagnostic>, f64) {
     let mut out = Vec::new();
     determinism_guard(ws, &mut out);
     protocol_drift(ws, &mut out);
     store_format_drift(ws, &mut out);
-    result_drops(ws, &mut out);
-    unwrap_discipline(ws, &mut out);
     unsafe_safety_comments(ws, &mut out);
-    std_mutex_forbidden(ws, &mut out);
     lock_across_blocking(ws, &mut out);
     comment_contracts(ws, &mut out);
-    let dataflow_ms = crate::passes::run(ws, &mut out);
+    crate::passes::run(ws, &mut out);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    (out, dataflow_ms)
+    out
 }
 
 /// The wall-clock portal: the only file allowed to call
@@ -214,31 +167,10 @@ const DETERMINISTIC_ZONES: &[&str] = &[
     "crates/cluster/src/replication.rs",
 ];
 
-pub(crate) fn in_deterministic_zone(rel: &str) -> bool {
+fn in_deterministic_zone(rel: &str) -> bool {
     DETERMINISTIC_ZONES
         .iter()
         .any(|z| rel.starts_with(z) || rel == z.trim_end_matches('/'))
-}
-
-fn in_net_or_cluster_src(rel: &str) -> bool {
-    rel.starts_with("crates/net/src/") || rel.starts_with("crates/cluster/src/")
-}
-
-/// The durable store's persistence modules: crash-safety code where a
-/// silently dropped error or a panic can lose acknowledged writes, so the
-/// error-discipline rules (L003/L004) apply with the same force as on the
-/// net/cluster hot paths.
-const PERSISTENCE_FILES: &[&str] = &[
-    "crates/store/src/block.rs",
-    "crates/store/src/wal.rs",
-    "crates/store/src/sst_file.rs",
-    "crates/store/src/manifest.rs",
-    "crates/store/src/recovery.rs",
-    "crates/store/src/durable.rs",
-];
-
-fn in_error_discipline_zone(rel: &str) -> bool {
-    in_net_or_cluster_src(rel) || PERSISTENCE_FILES.contains(&rel)
 }
 
 /// KVS-L001.
@@ -282,15 +214,22 @@ fn determinism_guard(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     });
                 }
             }
-            if det && l.code.contains("Instant::now") {
-                out.push(Diagnostic {
-                    rule: "KVS-L001",
-                    path: f.rel.clone(),
-                    line: n,
-                    message: "monotonic clock read in deterministic code — simulated components \
-                              must take time from simcore::time, not the host"
-                        .to_string(),
-                });
+            // Host clocks, including the sanctioned live portal
+            // `wall_ns()`: simulated components take time as a
+            // `SimTime`/`SimDuration` parameter, never from the host.
+            for tok in ["Instant::now", "wall_ns("] {
+                if det && l.code.contains(tok) {
+                    out.push(Diagnostic {
+                        rule: "KVS-L001",
+                        path: f.rel.clone(),
+                        line: n,
+                        message: format!(
+                            "host clock `{}` read in deterministic code — simulated components \
+                             must take time from simcore::time, not the host",
+                            tok.trim_end_matches('(')
+                        ),
+                    });
+                }
             }
         }
     }
@@ -957,58 +896,6 @@ fn store_format_drift(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// KVS-L003.
-fn result_drops(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for f in &ws.files {
-        if !in_error_discipline_zone(&f.rel) {
-            continue;
-        }
-        for (n, l) in f.numbered() {
-            if l.in_test {
-                continue;
-            }
-            if l.code.contains("let _ =") || l.code.contains("let _=") {
-                out.push(Diagnostic {
-                    rule: "KVS-L003",
-                    path: f.rel.clone(),
-                    line: n,
-                    message: "silently dropped result — handle the error, log the branch, or \
-                              waive it with a justification"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// KVS-L004.
-fn unwrap_discipline(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for f in &ws.files {
-        if !in_error_discipline_zone(&f.rel) {
-            continue;
-        }
-        for (n, l) in f.numbered() {
-            if l.in_test {
-                continue;
-            }
-            for tok in [".unwrap()", ".expect("] {
-                if l.code.contains(tok) {
-                    out.push(Diagnostic {
-                        rule: "KVS-L004",
-                        path: f.rel.clone(),
-                        line: n,
-                        message: format!(
-                            "`{}` in a hot path — propagate the error or waive with the \
-                             invariant that makes it unreachable",
-                            tok.trim_end_matches('(')
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
 fn contains_word(code: &str, word: &str) -> bool {
     let mut from = 0;
     while let Some(pos) = code[from..].find(word) {
@@ -1047,33 +934,6 @@ fn unsafe_safety_comments(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                     path: f.rel.clone(),
                     line: n,
                     message: "`unsafe` without a `// SAFETY:` comment on or directly above it"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// KVS-L006.
-fn std_mutex_forbidden(ws: &Workspace, out: &mut Vec<Diagnostic>) {
-    for f in &ws.files {
-        let in_crate_src = f.rel.starts_with("crates/") && f.rel.contains("/src/");
-        if !in_crate_src || f.rel.starts_with("crates/lint/") {
-            continue;
-        }
-        for (n, l) in f.numbered() {
-            if l.in_test {
-                continue;
-            }
-            let qualified = l.code.contains("std::sync::Mutex") || l.code.contains("sync::Mutex");
-            let imported = l.code.contains("use std::sync::") && contains_word(&l.code, "Mutex");
-            if qualified || imported {
-                out.push(Diagnostic {
-                    rule: "KVS-L006",
-                    path: f.rel.clone(),
-                    line: n,
-                    message: "std::sync::Mutex in crate code — the workspace standard is the \
-                              parking_lot shim (poison-free lock())"
                         .to_string(),
                 });
             }

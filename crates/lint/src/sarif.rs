@@ -8,10 +8,9 @@
 //! expects when the checkout is the workspace root.
 //!
 //! Findings whose message carries a `file:line → file:line` witness
-//! chain (the interprocedural rules and the dataflow engine's taint
-//! flows) additionally emit the chain as a SARIF `codeFlows` thread
-//! flow, so code-scanning UIs can step through the propagation
-//! source-to-sink.
+//! chain (the interprocedural rules) additionally emit the chain as a
+//! SARIF `codeFlows` thread flow, so code-scanning UIs can step through
+//! it hop by hop.
 
 use crate::json::{self, Value};
 use crate::rules::{Diagnostic, RULES};
@@ -78,8 +77,8 @@ fn location(path: &str, line: usize) -> Value {
 }
 
 /// Extracts the `file:line → file:line → …` witness chain embedded in a
-/// diagnostic message, if any. Chains are rendered by the CFG witness
-/// helper and the dataflow engine; every step must parse as
+/// diagnostic message, if any. Chains are rendered by the call-graph
+/// and CFG witness helpers; every step must parse as
 /// `path:line` for the chain to count (a lone `→` in prose does not).
 fn witness_chain(message: &str) -> Option<Vec<(String, usize)>> {
     let candidate = message.rsplit(": ").next().unwrap_or(message);
@@ -136,15 +135,14 @@ mod tests {
                 message: "unbounded channel".to_string(),
             }],
             baselined: vec![Diagnostic {
-                rule: "KVS-L004",
+                rule: "KVS-L007",
                 path: "crates/net/src/y.rs".to_string(),
                 line: 3,
-                message: "frozen unwrap".to_string(),
+                message: "frozen lock-across-write".to_string(),
             }],
             waived: Vec::new(),
             waiver_hits: Vec::new(),
             files_scanned: 2,
-            dataflow_ms: 0.0,
         }
     }
 
@@ -209,13 +207,11 @@ mod tests {
     fn witness_chain_becomes_a_code_flow() {
         let mut oc = outcome();
         oc.diagnostics.push(Diagnostic {
-            rule: "KVS-L017",
-            path: "crates/net/src/frame.rs".to_string(),
-            line: 296,
-            message: "untrusted wire length: u32::from_be_bytes (line 295) reaches \
-                      allocation `with_capacity(…)` without a validated bound — compare \
-                      against a MAX_PAYLOAD-style limit first; flow: \
-                      crates/net/src/frame.rs:295 → crates/net/src/frame.rs:296"
+            rule: "KVS-L014",
+            path: "crates/net/src/pool.rs".to_string(),
+            line: 295,
+            message: "non-blocking zone `classify` can reach blocking `sleep`: \
+                      crates/net/src/pool.rs:295 → crates/net/src/pool.rs:296"
                 .to_string(),
         });
         let doc = parse(&render(&oc)).unwrap();
@@ -225,8 +221,8 @@ mod tests {
             .unwrap();
         let flowed = results
             .iter()
-            .find(|r| r.get("ruleId").and_then(Value::as_str) == Some("KVS-L017"))
-            .expect("L017 result present");
+            .find(|r| r.get("ruleId").and_then(Value::as_str) == Some("KVS-L014"))
+            .expect("L014 result present");
         let steps = flowed
             .get("codeFlows")
             .and_then(Value::as_arr)

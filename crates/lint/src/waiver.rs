@@ -8,10 +8,10 @@
 //!
 //! ```toml
 //! [[waiver]]
-//! rule = "KVS-L004"
-//! path = "crates/net/src/frame.rs"
-//! contains = "expect(\"kind validated above\")"
-//! justification = "decode validates the kind byte before construction"
+//! rule = "KVS-L010"
+//! path = "crates/net/src/master.rs"
+//! contains = "unbounded::<Event>()"
+//! justification = "event volume is bounded by the request window"
 //! owner = "net"
 //! ```
 //!
@@ -218,10 +218,10 @@ mod tests {
     const GOOD: &str = r#"
 # fleet-wide waivers
 [[waiver]]
-rule = "KVS-L004"
-path = "crates/net/src/frame.rs"
-contains = "expect(\"4 bytes\")"
-justification = "slice length is proven by the preceding bounds check"
+rule = "KVS-L010"
+path = "crates/net/src/master.rs"
+contains = "unbounded::<Event>()"
+justification = "event volume is bounded by the request window"
 owner = "net"
 "#;
 
@@ -229,22 +229,22 @@ owner = "net"
     fn parses_a_valid_waiver() {
         let ws = parse(GOOD).unwrap();
         assert_eq!(ws.len(), 1);
-        assert_eq!(ws[0].rule, "KVS-L004");
-        assert_eq!(ws[0].contains, "expect(\"4 bytes\")");
+        assert_eq!(ws[0].rule, "KVS-L010");
+        assert_eq!(ws[0].contains, "unbounded::<Event>()");
     }
 
     #[test]
     fn rejects_unknown_keys_duplicates_and_missing_fields() {
-        assert!(parse("[[waiver]]\nrule = \"KVS-L004\"\nwhatever = \"x\"\n").is_err());
-        let dup = "[[waiver]]\nrule = \"KVS-L004\"\nrule = \"KVS-L003\"\n";
+        assert!(parse("[[waiver]]\nrule = \"KVS-L010\"\nwhatever = \"x\"\n").is_err());
+        let dup = "[[waiver]]\nrule = \"KVS-L010\"\nrule = \"KVS-L007\"\n";
         assert!(parse(dup).is_err());
-        let missing = "[[waiver]]\nrule = \"KVS-L004\"\npath = \"x\"\ncontains = \"y\"\n";
+        let missing = "[[waiver]]\nrule = \"KVS-L010\"\npath = \"x\"\ncontains = \"y\"\n";
         assert!(parse(missing).is_err());
     }
 
     #[test]
     fn rejects_empty_justifications_and_unknown_rules() {
-        let lazy = "[[waiver]]\nrule = \"KVS-L004\"\npath = \"x\"\ncontains = \"y\"\n\
+        let lazy = "[[waiver]]\nrule = \"KVS-L010\"\npath = \"x\"\ncontains = \"y\"\n\
                     justification = \"ok\"\nowner = \"me\"\n";
         assert!(parse(lazy).is_err());
         let bogus = "[[waiver]]\nrule = \"KVS-L999\"\npath = \"x\"\ncontains = \"y\"\n\
@@ -266,13 +266,13 @@ owner = "net"
     fn matching_waiver_suppresses_and_counts_hits() {
         let ws = parse(GOOD).unwrap();
         let d = Diagnostic {
-            rule: "KVS-L004",
-            path: "crates/net/src/frame.rs".to_string(),
+            rule: "KVS-L010",
+            path: "crates/net/src/master.rs".to_string(),
             line: 7,
             message: "m".to_string(),
         };
         let applied = apply(vec![d], &ws, "w.toml", |_, _| {
-            Some("let x = v.try_into().expect(\"4 bytes\");".to_string())
+            Some("let (tx, rx) = unbounded::<Event>();".to_string())
         });
         assert!(applied.failing.is_empty());
         assert_eq!(applied.waived.len(), 1);

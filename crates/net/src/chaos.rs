@@ -19,6 +19,8 @@
 //! and any regression observed on a connection increments
 //! [`ChaosStats::seq_regressions`].
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use crate::frame::{Frame, FrameKind, HEADER_LEN};
 use crate::ioutil::{best_effort, join_logged};
 use parking_lot::Mutex;

@@ -186,6 +186,81 @@ fn header_len_for(version: u8) -> Result<usize, FrameError> {
     }
 }
 
+/// The validated version-independent header prefix. [`Header::parse`]
+/// and [`Header::tail`] are the only place wire integers are decoded, and
+/// `payload_len` is checked against [`MAX_PAYLOAD`] before anything can
+/// size a buffer from it.
+struct Header {
+    /// Full header size for the frame's version, checksum included.
+    len: usize,
+    kind: FrameKind,
+    flags: u8,
+    id: u64,
+    payload_len: usize,
+}
+
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the frame header parser: the one place wire integers are decoded"
+)]
+impl Header {
+    /// Parses the prefix at the front of `buf`. Whatever is visible is
+    /// validated, so garbage fails fast even on a partial prefix;
+    /// `Ok(None)` means more bytes are needed.
+    fn parse(buf: &[u8]) -> Result<Option<Header>, FrameError> {
+        if buf
+            .first_chunk::<2>()
+            .is_some_and(|m| *m != MAGIC.to_be_bytes())
+        {
+            return Err(FrameError::BadMagic);
+        }
+        let len = buf.get(2).map(|&v| header_len_for(v)).transpose()?;
+        let kind = buf
+            .get(3)
+            .map(|&k| FrameKind::from_byte(k).ok_or(FrameError::BadKind(k)))
+            .transpose()?;
+        let (Some(len), Some(kind), Some(&[_, _, _, _, flags, id @ .., l0, l1, l2, l3])) =
+            (len, kind, buf.first_chunk::<COMMON_PREFIX>())
+        else {
+            return Ok(None);
+        };
+        let payload_len = u32::from_be_bytes([l0, l1, l2, l3]);
+        if payload_len > MAX_PAYLOAD {
+            return Err(FrameError::TooLarge(payload_len));
+        }
+        Ok(Some(Header {
+            len,
+            kind,
+            flags,
+            id: u64::from_be_bytes(id),
+            payload_len: payload_len as usize,
+        }))
+    }
+
+    /// Decodes the rest of the header from `buf`: the four stamps, the
+    /// deadline (`0` for version 1, which has no deadline field) and the
+    /// declared checksum. `None` until the whole header has arrived.
+    fn tail(&self, buf: &[u8]) -> Option<([u64; 4], u64, u32)> {
+        let (stamp_bytes, rest) = buf
+            .get(COMMON_PREFIX..self.len)?
+            .split_first_chunk::<32>()?;
+        let (deadline, crc) = rest.split_last_chunk::<4>()?;
+        let mut stamps = [0u64; 4];
+        for (s, word) in stamps.iter_mut().zip(stamp_bytes.as_chunks::<8>().0) {
+            *s = u64::from_be_bytes(*word);
+        }
+        let deadline = deadline
+            .first_chunk::<8>()
+            .map_or(0, |d| u64::from_be_bytes(*d));
+        Some((stamps, deadline, u32::from_be_bytes(*crc)))
+    }
+
+    /// Header plus payload: the whole frame's size on the wire.
+    fn frame_len(&self) -> usize {
+        self.len + self.payload_len
+    }
+}
+
 impl Frame {
     /// Serializes the frame (always version 2), header + checksum +
     /// payload.
@@ -216,67 +291,36 @@ impl Frame {
     /// more bytes are needed, and `Err` when the bytes can never become a
     /// valid frame. Never panics, whatever the input.
     pub fn decode(buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
-        // Validate what we can see so garbage fails fast even on a prefix.
-        if buf.len() >= 2 && buf[..2] != MAGIC.to_be_bytes() {
-            return Err(FrameError::BadMagic);
+        match Header::parse(buf)? {
+            Some(header) => Frame::finish(header, buf),
+            None => Ok(None),
         }
-        if buf.len() >= 3 {
-            header_len_for(buf[2])?;
-        }
-        if buf.len() >= 4 && FrameKind::from_byte(buf[3]).is_none() {
-            return Err(FrameError::BadKind(buf[3]));
-        }
-        if buf.len() < COMMON_PREFIX {
+    }
+
+    /// Completes the frame whose prefix `header` was parsed from the
+    /// front of `buf`: `Ok(None)` until the whole frame has arrived, then
+    /// the checksum decides.
+    fn finish(header: Header, buf: &[u8]) -> Result<Option<(Frame, usize)>, FrameError> {
+        let total = header.frame_len();
+        let (Some((stamps, deadline, declared)), Some(payload)) =
+            (header.tail(buf), buf.get(header.len..total))
+        else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(buf[13..17].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD {
-            return Err(FrameError::TooLarge(len));
-        }
-        let header_len = header_len_for(buf[2]).expect("version validated above");
-        if buf.len() < header_len {
-            return Ok(None);
-        }
-        let kind = FrameKind::from_byte(buf[3]).expect("kind validated above");
-        let flags = buf[4];
-        let id = u64::from_be_bytes(buf[5..13].try_into().expect("8 bytes"));
-        let total = header_len + len as usize;
-        if buf.len() < total {
-            return Ok(None);
-        }
-        let mut stamps = [0u64; 4];
-        for (i, s) in stamps.iter_mut().enumerate() {
-            *s = u64::from_be_bytes(buf[17 + i * 8..25 + i * 8].try_into().expect("8 bytes"));
-        }
-        // Kept as two separate lets: `crc_off` is an offset derived only
-        // from header constants, never from wire bytes, and defining it
-        // in the same destructure as the wire-decoded deadline would
-        // conflate the two (KVS-L017 tracks taint per definition).
-        let crc_off = if buf[2] == VERSION_V1 {
-            HEADER_LEN_V1 - 4
-        } else {
-            HEADER_LEN - 4
         };
-        let deadline = if buf[2] == VERSION_V1 {
-            0
-        } else {
-            u64::from_be_bytes(buf[49..57].try_into().expect("8 bytes"))
-        };
-        let declared = u32::from_be_bytes(buf[crc_off..crc_off + 4].try_into().expect("4 bytes"));
         let mut crc = Crc32::new();
-        crc.update(&buf[..crc_off]);
-        crc.update(&buf[header_len..total]);
+        crc.update(&buf[..header.len - 4]);
+        crc.update(payload);
         if crc.finish() != declared {
             return Err(FrameError::BadChecksum);
         }
         Ok(Some((
             Frame {
-                kind,
-                flags,
-                id,
+                kind: header.kind,
+                flags: header.flags,
+                id: header.id,
                 stamps,
                 deadline,
-                payload: Bytes::copy_from_slice(&buf[header_len..total]),
+                payload: Bytes::copy_from_slice(payload),
             },
             total,
         )))
@@ -290,42 +334,25 @@ impl Frame {
     /// Reads exactly one frame from a stream, blocking as needed.
     /// Malformed bytes surface as `InvalidData`.
     pub fn read_from(r: &mut impl Read) -> io::Result<Frame> {
-        // Read the version-independent prefix first; the version byte
-        // decides how much more header follows.
+        let invalid = |e: FrameError| io::Error::new(io::ErrorKind::InvalidData, e);
+        let no_progress =
+            || io::Error::new(io::ErrorKind::InvalidData, "frame decoder made no progress");
+        // The version-independent prefix fixes the frame's size, with
+        // the payload length already bounded by the header parser.
         let mut prefix = [0u8; COMMON_PREFIX];
         r.read_exact(&mut prefix)?;
-        if let Err(e) = Frame::decode(&prefix) {
-            return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-        }
-        let header_len = header_len_for(prefix[2]).expect("version validated above");
-        let declared_len = u32::from_be_bytes(prefix[13..17].try_into().expect("4 bytes"));
-        // Validate the wire-declared length BEFORE sizing any buffer
-        // from it: `decode` on the prefix above checks it too, but this
-        // path must bound the allocation on its own — a hostile peer
-        // sends the length, and an unchecked `with_capacity` from it is
-        // a remote OOM.
-        if declared_len > MAX_PAYLOAD {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                FrameError::TooLarge(declared_len),
-            ));
-        }
-        let len = declared_len as usize;
-        let mut buf = Vec::with_capacity(header_len + len);
+        let header = Header::parse(&prefix)
+            .map_err(invalid)?
+            .ok_or_else(no_progress)?;
+        let total = header.frame_len();
+        let mut buf = Vec::with_capacity(total);
         buf.extend_from_slice(&prefix);
-        buf.resize(header_len + len, 0);
+        buf.resize(total, 0);
         r.read_exact(&mut buf[COMMON_PREFIX..])?;
-        match Frame::decode(&buf) {
-            Ok(Some((frame, consumed))) => {
-                debug_assert_eq!(consumed, buf.len());
-                Ok(frame)
-            }
-            Ok(None) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame decoder made no progress",
-            )),
-            Err(e) => Err(io::Error::new(io::ErrorKind::InvalidData, e)),
-        }
+        let (frame, _) = Frame::finish(header, &buf)
+            .map_err(invalid)?
+            .ok_or_else(no_progress)?;
+        Ok(frame)
     }
 }
 
@@ -509,8 +536,8 @@ mod tests {
     #[test]
     fn single_byte_corruption_never_yields_a_frame() {
         // A flipped length byte may legitimately turn into "need more
-        // bytes" (`Ok(None)`); what corruption must never produce is a
-        // successfully decoded frame.
+        // bytes" (`Ok(None)`, or an early EOF on the stream); what
+        // corruption must never produce is a successfully decoded frame.
         let bytes = sample().encode();
         for i in 0..bytes.len() {
             let mut bad = bytes.clone();
@@ -518,6 +545,10 @@ mod tests {
             assert!(
                 !matches!(Frame::decode(&bad), Ok(Some(_))),
                 "flip at byte {i} went unnoticed"
+            );
+            assert!(
+                Frame::read_from(&mut &bad[..]).is_err(),
+                "flip at byte {i} went unnoticed by the stream reader"
             );
         }
     }

@@ -1,5 +1,5 @@
 //! Crate-internal helpers for error paths that have no recovery: the
-//! error-discipline lint (KVS-L003) bans silent `let _ =` drops, and
+//! crate denies `clippy::let_underscore_must_use` outside tests, and
 //! these are the sanctioned replacements — disconnects stay quiet
 //! (peers are allowed to vanish mid-run; chaos tests make them), every
 //! other failure is logged so a real fault never disappears.

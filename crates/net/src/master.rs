@@ -34,6 +34,8 @@
 //! completes with [`kvs_cluster::Coverage`]` < 1` and an exact
 //! per-partition miss list — partial answers over errors.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use crate::clock::wall_ns;
 use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
 use crate::latency::LatencyTracker;
@@ -384,6 +386,10 @@ fn spawn_reader(node: u32, mut read_half: TcpStream, tx: Sender<Event>) -> JoinH
                 } else {
                     DownReason::Closed
                 };
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "the send fails only once the master has dropped the receiver at shutdown; logging would print on every clean shutdown"
+                )]
                 let _ = tx.send(Event::Down(node, reason));
                 return;
             }

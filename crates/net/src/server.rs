@@ -19,6 +19,8 @@
 //! drops the queue producers so workers drain and exit, and joins the
 //! pool. No thread or socket outlives the call.
 
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use crate::clock::wall_ns;
 use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
 use crate::ioutil::{best_effort, join_logged};
@@ -72,6 +74,10 @@ pub fn is_version_cell(cell: &Cell) -> bool {
 /// The partition's LWW version recorded in `cells`, `0` if never written
 /// through the replicated write path. Takes the max so a version cell
 /// duplicated across memtable and SSTable generations still reads newest.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "decodes a store cell this node wrote itself, not wire input"
+)]
 pub fn version_of(cells: &[Cell]) -> u64 {
     cells
         .iter()

@@ -21,7 +21,7 @@ use std::time::Duration;
 
 /// The straggler acceptance test measures real wall-clock tails; a
 /// sibling test competing for cores skews them. One test at a time.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+static SERIAL: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
 fn data(nodes: u32, rf: usize, partitions: u64, cells: u64) -> ClusterData {
     ClusterData::load(
@@ -92,7 +92,7 @@ fn straggler_run(
 
 #[test]
 fn hedged_reads_cut_straggler_p99() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = SERIAL.lock();
     const PARTITIONS: u64 = 300;
     let (cluster, routes) =
         spawn_local_cluster(data(3, 2, PARTITIONS, 8), NetServerConfig::default())
@@ -153,7 +153,7 @@ fn hedged_reads_cut_straggler_p99() {
 /// refuses to return a partial answer.
 #[test]
 fn blackholed_partition_degrades_with_exact_miss_list() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = SERIAL.lock();
     const PARTITIONS: u64 = 32;
     let (cluster, routes) =
         spawn_local_cluster(data(2, 1, PARTITIONS, 8), NetServerConfig::default())
@@ -236,7 +236,7 @@ fn blackholed_partition_degrades_with_exact_miss_list() {
 /// retry ladder (6 retries, 1 ms doubling back-off) covers ~60 ms.
 #[test]
 fn connect_retries_through_slave_cold_start() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _serial = SERIAL.lock();
     // Reserve a port, then release it so the first connect is refused.
     let addr = {
         let probe = TcpListener::bind("127.0.0.1:0").expect("probe binds");

@@ -11,6 +11,34 @@ use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
 /// An instant on the simulation clock, in nanoseconds since simulation start.
+///
+/// Neither newtype has a `From<u64>`, so a raw clock reading (host
+/// nanoseconds from `kvs_net::clock::wall_ns`, say) cannot reach an API
+/// that takes sim time:
+///
+/// ```compile_fail,E0308
+/// use kvs_simcore::{SimDuration, SimTime};
+/// fn advance(now: SimTime, step: SimDuration) -> SimTime { now + step }
+/// let raw_clock_ns: u64 = 1_700_000_000_000_000_000;
+/// advance(raw_clock_ns, SimDuration::ZERO);
+/// ```
+///
+/// ```compile_fail,E0308
+/// # use kvs_simcore::{SimDuration, SimTime};
+/// # fn advance(now: SimTime, step: SimDuration) -> SimTime { now + step }
+/// let raw_clock_ns: u64 = 1_700_000_000_000_000_000;
+/// advance(SimTime::ZERO, raw_clock_ns);
+/// ```
+///
+/// The one way in is the named `from_nanos` bridge, so every conversion
+/// is visible at its call site:
+///
+/// ```
+/// # use kvs_simcore::{SimDuration, SimTime};
+/// # fn advance(now: SimTime, step: SimDuration) -> SimTime { now + step }
+/// let raw_clock_ns: u64 = 1_700_000_000_000_000_000;
+/// advance(SimTime::from_nanos(raw_clock_ns), SimDuration::from_nanos(5));
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 

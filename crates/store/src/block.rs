@@ -16,6 +16,15 @@
 //! every read from disk; the same [`fnv64`] hash checksums the WAL
 //! records, the manifest and the SSTable footer.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::schema::Cell;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 

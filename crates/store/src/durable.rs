@@ -27,6 +27,15 @@
 //! errors), so the only way forward is what a real crash forces — drop
 //! the table and [`DurableTable::open`] the directory again.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::manifest::Manifest;
 use crate::memtable::Memtable;
 use crate::receipt::ReadReceipt;

@@ -24,6 +24,15 @@
 //!   36+8n  8 crc              fnv64 over bytes 0..36+8n
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::block::fnv64;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{self, File, OpenOptions};
@@ -94,6 +103,10 @@ impl Manifest {
             return None;
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checksum tail of a local file, not wire input"
+        )]
         let stored = u64::from_be_bytes(tail.try_into().ok()?);
         if fnv64(body) != stored {
             return None;

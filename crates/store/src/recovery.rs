@@ -24,6 +24,15 @@
 //! rewritten: recovery is read-only apart from garbage collection, so a
 //! second crash during recovery is harmless.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::manifest::{Manifest, MANIFEST_TMP_FILE};
 use crate::memtable::Memtable;
 use crate::sst_file::{parse_sst_generation, sst_file_name, SstFile};

@@ -43,6 +43,15 @@
 //! carries its own checksum in its `BlockMeta`, so point corruption is
 //! caught at read time without rescanning the file.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::block::{build_blocks, fnv64, fnv64_extend, BlockMeta, BLOCK_META_BYTES};
 use crate::bloom::BloomFilter;
 use crate::cache::Lru;
@@ -210,6 +219,10 @@ impl SstFile {
     /// Opens an SSTable file, verifying the footer and metadata checksums
     /// and loading the partition index and bloom filter. Data blocks stay
     /// on disk; their checksums are verified lazily at read time.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "metadata reads at open are not block reads, and the footer crc is a local fixed-width tail"
+    )]
     pub fn open(path: &Path) -> io::Result<SstFile> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -326,8 +339,7 @@ impl SstFile {
             .map(|i| &self.partitions[i])
     }
 
-    /// Fetches one block, via the cache when possible, verifying its
-    /// checksum on a disk read.
+    /// Fetches one block, via the cache when possible.
     fn load_block(
         &self,
         meta: &BlockMeta,
@@ -339,12 +351,22 @@ impl SstFile {
             receipt.disk_block_cache_hits += 1;
             return Ok(block.clone());
         }
+        let block = self.read_block(meta, receipt)?;
+        cache.put(key, block.clone());
+        Ok(block)
+    }
+
+    /// Reads one data block from disk: the only block read in the store.
+    /// The receipt is charged as soon as the bytes have moved and before
+    /// the checksum verdict, so a corrupt block cannot escape the
+    /// accounting that every receipt-based cost model relies on.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the sanctioned block read: it charges the receipt itself"
+    )]
+    fn read_block(&self, meta: &BlockMeta, receipt: &mut ReadReceipt) -> io::Result<Bytes> {
         let mut raw = vec![0u8; meta.len as usize];
         self.file.read_exact_at(&mut raw, meta.offset)?;
-        // Charge before the checksum verdict: the read moved the bytes
-        // whether or not they verify, and a corrupt block that escaped
-        // the accounting would skew every cost model built on receipts
-        // (KVS-L019 checks this must-reach property on all paths).
         receipt.disk_blocks_read += 1;
         receipt.disk_bytes_read += meta.len as u64;
         if fnv64(&raw) != meta.crc {
@@ -354,9 +376,7 @@ impl SstFile {
                 meta.offset
             )));
         }
-        let block = Bytes::from(raw);
-        cache.put(key, block.clone());
-        Ok(block)
+        Ok(Bytes::from(raw))
     }
 
     /// Reads a whole partition. `Ok(None)` (with receipt counters
@@ -466,20 +486,13 @@ impl SstFile {
     /// compaction input path. Bypasses the block cache (compaction reads
     /// each block once; caching them would only evict hot read blocks).
     pub fn scan(&self) -> io::Result<Vec<(PartitionKey, Vec<Cell>)>> {
+        // Compaction is not a query: its reads charge a scratch receipt.
+        let mut scratch = ReadReceipt::default();
         let mut out = Vec::with_capacity(self.partitions.len());
         for entry in &self.partitions {
             let mut cells = Vec::with_capacity(entry.cell_count as usize);
             for meta in &entry.blocks {
-                let mut raw = vec![0u8; meta.len as usize];
-                self.file.read_exact_at(&mut raw, meta.offset)?;
-                if fnv64(&raw) != meta.crc {
-                    return Err(bad_data(format!(
-                        "{}: block at offset {} failed its checksum",
-                        self.path.display(),
-                        meta.offset
-                    )));
-                }
-                let mut block = Bytes::from(raw);
+                let mut block = self.read_block(meta, &mut scratch)?;
                 while let Some(cell) = Cell::decode(&mut block) {
                     cells.push(cell);
                 }
@@ -779,6 +792,10 @@ mod tests {
         let mut r = ReadReceipt::default();
         let err = sst.read(&pk(0), &mut cache, &mut r).expect_err("must fail");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The corrupt block moved its bytes: the read is charged even
+        // though the checksum rejected it.
+        assert_eq!(r.disk_blocks_read, 1);
+        assert_eq!(r.disk_bytes_read, sst.partitions[0].blocks[0].len as u64);
         assert!(sst.scan().is_err());
     }
 

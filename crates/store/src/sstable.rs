@@ -306,6 +306,10 @@ impl SsTable {
             return None;
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "checksum tail of a local file, not wire input"
+        )]
         let stored = u64::from_be_bytes(tail.try_into().ok()?);
         if fnv64(body) != stored {
             return None;

@@ -27,6 +27,15 @@
 //! first checksum mismatch (bit rot), and reports which; everything
 //! before the stop point is intact by construction.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::let_underscore_must_use,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
+
 use crate::block::{fnv64, fnv64_extend};
 use crate::schema::{Cell, PartitionKey};
 use bytes::{Buf, BufMut, Bytes, BytesMut};

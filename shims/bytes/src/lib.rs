@@ -230,6 +230,10 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u32`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Buf shim's fixed-width reader; callers bound what they read"
+    )]
     fn get_u32(&mut self) -> u32 {
         let mut b = [0u8; 4];
         b.copy_from_slice(&self.chunk()[..4]);
@@ -238,6 +242,10 @@ pub trait Buf {
     }
 
     /// Reads a big-endian `u64`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the Buf shim's fixed-width reader; callers bound what they read"
+    )]
     fn get_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         b.copy_from_slice(&self.chunk()[..8]);

@@ -3,6 +3,10 @@
 //! Semantics match the real crate for the subset used here: cloneable
 //! senders *and* receivers, blocking/non-blocking/timed receive, bounded
 //! sends that block when full and fail when all receivers are gone.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the channels block on std::sync::Condvar, which pairs only with std::sync::Mutex"
+)]
 
 pub mod channel {
     use std::collections::VecDeque;

@@ -2,6 +2,10 @@
 //! poison-free API the real crate exposes (`lock()` returns the guard
 //! directly; a poisoned lock is recovered, matching parking_lot's
 //! behaviour of not poisoning at all).
+#![expect(
+    clippy::disallowed_types,
+    reason = "this shim is the sanctioned wrapper around std::sync::Mutex"
+)]
 
 use std::sync::PoisonError;
 
@@ -14,7 +18,7 @@ pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
 
 impl<T> Mutex<T> {
     /// Creates a new mutex.
-    pub fn new(value: T) -> Self {
+    pub const fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
 
