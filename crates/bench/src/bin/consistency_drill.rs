@@ -1,30 +1,29 @@
 //! consistency_drill — the consistency–latency–staleness grid of the
-//! replicated write path, measured and mirrored.
+//! replicated write path, on two clocks.
 //!
 //! For every cell of rf ∈ {2, 3} × consistency ∈ {ONE, QUORUM, ALL} the
-//! drill replays the *same* seeded 50/50 read/write schedule twice:
+//! drill runs the *same* seeded 50/50 read/write plan through the *same*
+//! coordinator ([`kvs_cluster::Coordinator`]) twice:
 //!
 //! * **sockets** — a 3-node loopback cluster behind per-node
 //!   [`ChaosProxy`]s injecting seeded master→slave delay faults, driven
-//!   through the replicated write path (`NetMaster::run_mixed`);
-//! * **sim** — `kvs_cluster::replication::run_replicated`, the
-//!   deterministic mirror, fed leg-latency samples harvested from a
-//!   healthy (passthrough-proxied) calibration run plus the same delay
-//!   fault parameters.
+//!   by `NetMaster::run_mixed` on the host's wall clock;
+//! * **sim** — [`kvs_cluster::replication::simulate`], the seeded
+//!   simulated network, fed leg-latency samples harvested from a healthy
+//!   (passthrough-proxied) calibration run plus the same delay fault
+//!   parameters.
 //!
+//! The two worlds differ only in the clock and the network, so any gap
+//! between them is a modelling gap, not a second implementation drifting.
 //! The PCAP-style story the grid tells: ONE acks fast and serves stale
 //! reads while a delayed replica lags; QUORUM's overlapping majorities
 //! keep acknowledged writes visible at a latency set by the 2nd-fastest
 //! replica; ALL reads are never stale but pay the slowest leg. The drill
 //! asserts the structural invariants (ALL staleness = 0 in both worlds,
-//! no failed operations, no acknowledged-write loss in the mirror) and
-//! the acceptance gate: sim and sockets agree on QUORUM write p99 within
-//! 25% relative error at both replication factors.
-//!
-//! RMWs are exercised by `workload_drill` and the robustness tests, not
-//! here: the mirror prices an RMW as two sequential rounds while the
-//! wire sends one `Rmw` frame, so mixing them would blur the
-//! apples-to-apples latency comparison this drill exists to make.
+//! no failed operations, every write acked, no acknowledged-write loss in
+//! the sim's audit) and the acceptance gate: sim and sockets agree on
+//! QUORUM write p99 within 25% relative error at both replication
+//! factors.
 //!
 //! Knobs (environment):
 //! - `KVSCALE_CONS_OPS` — operations per cell (default 600)
@@ -40,13 +39,11 @@
 use kvs_bench::json::{self, int, num, obj, s, Value};
 use kvs_bench::{banner, fmt_ms, Csv};
 use kvs_cluster::data::uniform_partitions;
-use kvs_cluster::{
-    replication, ClusterData, Consistency, DelayFault, ReplicationOutcome, ReplicationSimConfig,
-    SimOp, SimOpKind,
-};
+use kvs_cluster::replication::simulate;
+use kvs_cluster::{ClusterData, Consistency, DelayFault, ReplicationSimConfig, Route};
 use kvs_net::{
     spawn_local_cluster, wrap_cluster, ChaosDirection, ChaosRule, ChaosSchedule, FaultAction,
-    MixedOp, MixedOutcome, MixedPlan, NetConfig, NetMaster, NetServerConfig, Route, WriteOptions,
+    MixedOp, MixedOutcome, MixedPlan, NetConfig, NetMaster, NetServerConfig, WriteOptions,
 };
 use kvs_store::{Cell, TableOptions};
 use rand::rngs::StdRng;
@@ -91,7 +88,7 @@ fn net_cfg() -> NetConfig {
     }
 }
 
-/// Lowers the schedule to mixed plans against a spawned cluster's routes.
+/// Lowers the schedule to mixed plans against the data's routes.
 fn plans_for(sched: &[DrillOp], routes: &[Route], cl: Consistency) -> Vec<MixedPlan> {
     sched
         .iter()
@@ -120,28 +117,24 @@ fn plans_for(sched: &[DrillOp], routes: &[Route], cl: Consistency) -> Vec<MixedP
         .collect()
 }
 
-/// Runs one socket-world cell: spawn, wrap in chaos proxies, drive the
-/// schedule, tear down.
-fn socket_cell(
+/// Runs `sched` at `cl` in the socket world — spawn an rf-`rf` cluster,
+/// wrap it in chaos proxies, drive the plan, tear down — and returns the
+/// outcome with the plan and arrival offsets the sim replays.
+fn socket_world(
     sched: &[DrillOp],
     partitions: u64,
-    rf: usize,
-    cl: Consistency,
+    (rf, cl): (usize, Consistency),
     gap_ns: u64,
     schedules: Vec<ChaosSchedule>,
-) -> MixedOutcome {
-    let data = ClusterData::load(
-        NODES,
-        rf,
-        TableOptions::default(),
-        uniform_partitions(partitions, CELLS_PER_PARTITION, KINDS),
-    );
-    let (cluster, routes) =
+) -> (MixedOutcome, Vec<MixedPlan>, Vec<u64>) {
+    let cells = uniform_partitions(partitions, CELLS_PER_PARTITION, KINDS);
+    let data = ClusterData::load(NODES, rf, TableOptions::default(), cells);
+    let plans = plans_for(sched, &data.routes(), cl);
+    let arrivals: Vec<u64> = (0..plans.len() as u64).map(|i| i * gap_ns).collect();
+    let (cluster, _routes) =
         spawn_local_cluster(data, NetServerConfig::default()).expect("cluster boots");
     let (proxies, proxied) = wrap_cluster(&cluster.addrs(), schedules).expect("proxies spawn");
     let mut master = NetMaster::connect(&proxied, net_cfg()).expect("master connects");
-    let plans = plans_for(sched, &routes, cl);
-    let arrivals: Vec<u64> = (0..plans.len() as u64).map(|i| i * gap_ns).collect();
     let out = master
         .run_mixed(&plans, Some(&arrivals), &WriteOptions::default())
         .expect("mixed run succeeds");
@@ -150,44 +143,7 @@ fn socket_cell(
         proxy.shutdown();
     }
     cluster.shutdown();
-    out
-}
-
-/// Runs the deterministic mirror on the same schedule.
-fn sim_cell(
-    sched: &[DrillOp],
-    rf: usize,
-    cl: Consistency,
-    gap_ns: u64,
-    seed: u64,
-    legs: &[f64],
-    delay: DelayFault,
-) -> ReplicationOutcome {
-    let cfg = ReplicationSimConfig {
-        nodes: NODES as usize,
-        rf,
-        seed,
-        leg_latency_ms: legs.to_vec(),
-        delay: Some(delay),
-        down: Vec::new(),
-        hint_queue_cap: 1024,
-    };
-    let gap_ms = gap_ns as f64 / 1e6;
-    let ops: Vec<SimOp> = sched
-        .iter()
-        .enumerate()
-        .map(|(i, op)| SimOp {
-            at_ms: i as f64 * gap_ms,
-            partition: op.partition,
-            kind: if op.write {
-                SimOpKind::Write
-            } else {
-                SimOpKind::Read
-            },
-            consistency: cl,
-        })
-        .collect();
-    replication::run_replicated(&cfg, &ops)
+    (out, plans, arrivals)
 }
 
 fn p99(samples: &[f64]) -> f64 {
@@ -196,27 +152,27 @@ fn p99(samples: &[f64]) -> f64 {
     kvs_simcore::stats::percentile_sorted(&v, 0.99)
 }
 
-fn stale_fraction(stale: u64, reads: u64) -> f64 {
-    if reads == 0 {
+fn stale_fraction(o: &MixedOutcome) -> f64 {
+    if o.reads == 0 {
         0.0
     } else {
-        stale as f64 / reads as f64
+        o.stale_reads as f64 / o.reads as f64
     }
 }
 
-fn world_obj(
-    writes: &[f64],
-    reads: &[f64],
-    stale: f64,
-    counters: Vec<(&'static str, Value)>,
-) -> Value {
-    let mut fields = vec![
-        ("writes", json::latency_summary_ms(writes)),
-        ("reads", json::latency_summary_ms(reads)),
-        ("stale_read_fraction", num(stale)),
-    ];
-    fields.extend(counters);
-    obj(fields)
+fn world_obj(o: &MixedOutcome) -> Value {
+    obj(vec![
+        ("writes", json::latency_summary_ms(&o.write_latency_ms)),
+        ("reads", json::latency_summary_ms(&o.read_latency_ms)),
+        ("stale_read_fraction", num(stale_fraction(o))),
+        ("writes_acked", int(o.writes_acked)),
+        ("stale_reads", int(o.stale_reads)),
+        ("divergent_reads", int(o.divergent_reads)),
+        ("read_repairs", int(o.read_repairs)),
+        ("hints_queued", int(o.hints_queued)),
+        ("busy_retries", int(o.busy_retries)),
+        ("lost_acked_writes", int(o.lost_acked_writes)),
+    ])
 }
 
 fn main() {
@@ -238,41 +194,39 @@ fn main() {
     );
 
     let sched = schedule(ops, partitions, seed);
-    let writes_in_sched = sched.iter().filter(|o| o.write).count();
+    let writes_in_sched = sched.iter().filter(|o| o.write).count() as u64;
 
     // --- Calibration: a healthy rf = 1 run through passthrough proxies
-    // harvests the leg-latency pool the mirror samples from. Proxies stay
-    // in the loop so the calibrated legs include the extra hop the faulty
+    // harvests the leg-latency pool the sim samples from. Proxies stay in
+    // the loop so the calibrated legs include the extra hop the faulty
     // cells also pay.
     let passthrough: Vec<ChaosSchedule> = (0..NODES as u64)
         .map(|n| ChaosSchedule::passthrough(seed ^ n))
         .collect();
     let cal_sched = schedule(CALIBRATION_OPS, partitions, seed ^ 0xCA11B);
-    let cal = socket_cell(
-        &cal_sched,
-        partitions,
-        1,
-        Consistency::One,
-        200_000,
-        passthrough,
-    );
+    let one = (1, Consistency::One);
+    let (cal, _, _) = socket_world(&cal_sched, partitions, one, 200_000, passthrough);
     assert_eq!(
         (cal.reads_failed, cal.writes_failed),
         (0, 0),
         "calibration must be failure-free: {cal:?}"
     );
-    let mut legs: Vec<f64> = Vec::new();
-    legs.extend_from_slice(&cal.read_latency_ms);
-    legs.extend_from_slice(&cal.write_latency_ms);
+    let legs = [cal.read_latency_ms, cal.write_latency_ms].concat();
     println!(
         "calibration: {} legs harvested, p99 {}\n",
         legs.len(),
         fmt_ms(p99(&legs))
     );
 
-    let delay = DelayFault {
-        probability: delay_p,
-        extra_ms: delay_ms as f64,
+    let sim_cfg = ReplicationSimConfig {
+        seed,
+        leg_latency_ms: legs.clone(),
+        delay: Some(DelayFault {
+            probability: delay_p,
+            extra_ms: delay_ms as f64,
+        }),
+        down: Vec::new(),
+        timeout_ms: net_cfg().timeout.as_secs_f64() * 1e3,
     };
     let mut csv = Csv::new(
         "consistency_drill",
@@ -305,69 +259,39 @@ fn main() {
                     blackhole_from: None,
                 })
                 .collect();
-            let sock = socket_cell(&sched, partitions, rf, cl, gap_ns, schedules);
-            assert_eq!(
-                (sock.reads_failed, sock.writes_failed),
-                (0, 0),
-                "rf {rf} {} must be failure-free under delay-only faults: {sock:?}",
-                cl.name()
-            );
-            assert_eq!(sock.writes_acked as usize, writes_in_sched);
-            let sim = sim_cell(&sched, rf, cl, gap_ns, seed, &legs, delay);
-            assert_eq!(sim.lost_acked_writes, 0, "the mirror never loses acks");
-            assert_eq!(sim.writes_acked as usize, writes_in_sched);
-
-            let sock_stale = stale_fraction(sock.stale_reads, sock.reads);
-            let sim_stale = stale_fraction(sim.stale_reads, sim.reads);
-            if cl == Consistency::All {
+            let (sock, plans, at) = socket_world(&sched, partitions, (rf, cl), gap_ns, schedules);
+            let sim = simulate(&sim_cfg, &plans, Some(&at));
+            assert_eq!(sim.lost_acked_writes, 0, "the sim audit finds no lost acks");
+            for (world, o) in [("sockets", &sock), ("sim", &sim)] {
                 assert_eq!(
-                    (sock.stale_reads, sim.stale_reads),
+                    (o.reads_failed, o.writes_failed),
                     (0, 0),
-                    "ALL reads cover every replica and can never be stale"
+                    "rf {rf} {} {world} must be failure-free under delay-only faults: {o:?}",
+                    cl.name()
                 );
-            }
-            let (sock_wp99, sock_rp99) = (p99(&sock.write_latency_ms), p99(&sock.read_latency_ms));
-            let (sim_wp99, sim_rp99) = (p99(&sim.write_latency_ms), p99(&sim.read_latency_ms));
-            if cl == Consistency::Quorum {
-                let rel = (sim_wp99 - sock_wp99).abs() / sock_wp99.max(1e-9);
-                quorum_errs.push((rf, rel));
-            }
-            println!(
-                "rf {rf} {:<6} sockets  write p99 {:>9}  read p99 {:>9}  stale {:>5.1}%  \
-                 repairs {}",
-                cl.name(),
-                fmt_ms(sock_wp99),
-                fmt_ms(sock_rp99),
-                sock_stale * 100.0,
-                sock.read_repairs,
-            );
-            println!(
-                "     {:<6} sim      write p99 {:>9}  read p99 {:>9}  stale {:>5.1}%  \
-                 repairs {}",
-                "",
-                fmt_ms(sim_wp99),
-                fmt_ms(sim_rp99),
-                sim_stale * 100.0,
-                sim.read_repairs,
-            );
-            for (world, wp99, rp99, stale, acked, repairs) in [
-                (
-                    "sockets",
-                    sock_wp99,
-                    sock_rp99,
-                    sock_stale,
-                    sock.writes_acked,
-                    sock.read_repairs,
-                ),
-                (
-                    "sim",
-                    sim_wp99,
-                    sim_rp99,
-                    sim_stale,
-                    sim.writes_acked,
-                    sim.read_repairs,
-                ),
-            ] {
+                assert_eq!(
+                    o.writes_acked,
+                    writes_in_sched,
+                    "rf {rf} {} {world}",
+                    cl.name()
+                );
+                if cl == Consistency::All {
+                    assert_eq!(
+                        o.stale_reads, 0,
+                        "ALL reads cover every replica and can never be stale ({world})"
+                    );
+                }
+                let (wp99, rp99) = (p99(&o.write_latency_ms), p99(&o.read_latency_ms));
+                let stale = stale_fraction(o);
+                println!(
+                    "rf {rf} {:<6} {world:<8} write p99 {:>9}  read p99 {:>9}  stale {:>5.1}%  \
+                     repairs {}",
+                    cl.name(),
+                    fmt_ms(wp99),
+                    fmt_ms(rp99),
+                    stale * 100.0,
+                    o.read_repairs,
+                );
                 csv.row(&[
                     &rf,
                     &cl.name(),
@@ -375,51 +299,26 @@ fn main() {
                     &format!("{wp99:.4}"),
                     &format!("{rp99:.4}"),
                     &format!("{stale:.4}"),
-                    &acked,
-                    &repairs,
+                    &o.writes_acked,
+                    &o.read_repairs,
                 ]);
+            }
+            if cl == Consistency::Quorum {
+                let (sock_wp99, sim_wp99) =
+                    (p99(&sock.write_latency_ms), p99(&sim.write_latency_ms));
+                quorum_errs.push((rf, (sim_wp99 - sock_wp99).abs() / sock_wp99.max(1e-9)));
             }
             cells.push(obj(vec![
                 ("rf", int(rf as u64)),
                 ("consistency", s(cl.name())),
-                (
-                    "sockets",
-                    world_obj(
-                        &sock.write_latency_ms,
-                        &sock.read_latency_ms,
-                        sock_stale,
-                        vec![
-                            ("writes_acked", int(sock.writes_acked)),
-                            ("stale_reads", int(sock.stale_reads)),
-                            ("divergent_reads", int(sock.divergent_reads)),
-                            ("read_repairs", int(sock.read_repairs)),
-                            ("hints_queued", int(sock.hints_queued)),
-                            ("busy_retries", int(sock.busy_retries)),
-                        ],
-                    ),
-                ),
-                (
-                    "sim",
-                    world_obj(
-                        &sim.write_latency_ms,
-                        &sim.read_latency_ms,
-                        sim_stale,
-                        vec![
-                            ("writes_acked", int(sim.writes_acked)),
-                            ("stale_reads", int(sim.stale_reads)),
-                            ("divergent_reads", int(sim.divergent_reads)),
-                            ("read_repairs", int(sim.read_repairs)),
-                            ("hints_queued", int(sim.hints_queued)),
-                            ("lost_acked_writes", int(sim.lost_acked_writes)),
-                        ],
-                    ),
-                ),
+                ("sockets", world_obj(&sock)),
+                ("sim", world_obj(&sim)),
             ]));
         }
     }
 
-    // --- Acceptance gate: the mirror and the sockets agree on QUORUM
-    // write p99 at both replication factors.
+    // --- Acceptance gate: the two clocks agree on QUORUM write p99 at
+    // both replication factors.
     println!();
     let mut agreement: Vec<Value> = Vec::new();
     for (rf, rel) in &quorum_errs {
@@ -434,7 +333,6 @@ fn main() {
             "QUORUM p99 disagreement at rf {rf}: {rel:.3} > {QUORUM_P99_REL_ERR}"
         );
     }
-
     json::write_report(&json::report(
         "consistency",
         obj(vec![

@@ -4,6 +4,28 @@ use kvs_balance::HashRing;
 use kvs_store::{Cell, PartitionKey, Table, TableOptions};
 use std::collections::BTreeMap;
 
+/// One routed partition: its key plus the nodes holding a replica of it,
+/// primary first (the order [`ClusterData`] placed them in). Readers pick
+/// among the replicas and walk the list on failover; writers fan out to
+/// all of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Route {
+    /// The partition this route addresses.
+    pub key: PartitionKey,
+    /// Replica node indexes, primary first. Must be non-empty.
+    pub replicas: Vec<u32>,
+}
+
+impl Route {
+    /// A single-replica route (replication factor 1).
+    pub fn single(key: PartitionKey, node: u32) -> Route {
+        Route {
+            key,
+            replicas: vec![node],
+        }
+    }
+}
+
 /// The cluster's data: one [`Table`] per node, plus the ring and a
 /// partition directory.
 pub struct ClusterData {
@@ -87,6 +109,16 @@ impl ClusterData {
     /// All partitions, in key order.
     pub fn partitions(&self) -> impl Iterator<Item = (&PartitionKey, u64)> + '_ {
         self.partition_cells.iter().map(|(pk, &c)| (pk, c))
+    }
+
+    /// Every partition paired with its full replica set (primary first),
+    /// in key order.
+    pub fn routes(&self) -> Vec<Route> {
+        let route = |(key, replicas): (&PartitionKey, &Vec<u32>)| Route {
+            key: key.clone(),
+            replicas: replicas.clone(),
+        };
+        self.placement.iter().map(route).collect()
     }
 
     /// Number of partitions loaded.

@@ -38,9 +38,11 @@
 //!   round-robin, least-loaded).
 //! * [`queue`] — bounded work queues with observable backpressure, shared
 //!   by the live executor and the `kvs-net` TCP slaves.
-//! * [`replication`] — deterministic mirror of the replicated write path:
-//!   ONE/QUORUM/ALL consistency, LWW versions, read-repair, bounded
-//!   hinted handoff, and PCAP-style staleness accounting.
+//! * [`replication`] — the replicated write path's coordinator: a
+//!   deterministic, clock-free state machine deciding ONE/QUORUM/ALL ack
+//!   counting, LWW versions, read-repair, bounded hinted handoff and
+//!   PCAP-style staleness, driven over sockets by `kvs-net` and over a
+//!   seeded simulated network by [`replication::simulate`].
 //! * [`sim`], [`result`], [`live`].
 
 pub mod codec;
@@ -59,13 +61,13 @@ pub use codec::{Codec, CodecKind};
 pub use config::{
     ClusterConfig, DbConfig, GcConfig, MasterConfig, NetworkConfig, NodeFailure, Straggler,
 };
-pub use data::ClusterData;
+pub use data::{ClusterData, Route};
 pub use messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
 pub use policy::ReplicaPolicy;
 pub use queue::QueueStats;
 pub use replication::{
-    Consistency, DelayFault, FaultWindow, ReplicationOutcome, ReplicationSimConfig, SimOp,
-    SimOpKind,
+    Consistency, Coordinator, DelayFault, FaultWindow, MixedOp, MixedOutcome, MixedPlan,
+    ReplicationSimConfig,
 };
 pub use result::{Coverage, RunResult};
 pub use sim::{db_microbench, run_open_loop, run_query, run_query_paced, OpenLoopResult};

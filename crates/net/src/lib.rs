@@ -44,12 +44,13 @@
 //!   blackhole, driven by a seeded [`ChaosSchedule`]) that the robustness
 //!   suite places between master and slaves to exercise the failover
 //!   path under byte-accurate faults;
-//! * [`write_path`] — the replicated write path: [`NetMaster::run_mixed`]
-//!   coordinates reads, LWW writes and RMWs at per-request consistency
-//!   levels (ONE/QUORUM/ALL), with read-repair, bounded hinted handoff
-//!   for suspected-dead replicas, and replay-on-recovery
-//!   ([`NetMaster::replay_hints`]). The deterministic twin lives in
-//!   [`kvs_cluster::replication`].
+//! * [`write_path`] — the replicated write path over sockets:
+//!   [`NetMaster::run_mixed`] runs reads, LWW writes and RMWs at
+//!   per-request consistency levels (ONE/QUORUM/ALL), and
+//!   [`NetMaster::replay_hints`] replays hinted handoff on recovery. Every
+//!   decision is [`kvs_cluster::Coordinator`]'s, the clock-free state
+//!   machine the simulator drives too; this module only encodes, frames,
+//!   sends and pumps events.
 
 pub mod calibrate;
 pub mod chaos;
@@ -68,6 +69,7 @@ pub use chaos::{
     wrap_cluster, ChaosDirection, ChaosProxy, ChaosRule, ChaosSchedule, ChaosStats, FaultAction,
 };
 pub use frame::{Frame, FrameError, FrameKind};
+pub use kvs_cluster::{MixedOp, MixedOutcome, MixedPlan};
 pub use latency::LatencyTracker;
 pub use local::{
     spawn_local_cluster, spawn_local_cluster_durable, DurableClusterConfig, LocalCluster,
@@ -77,4 +79,4 @@ pub use master::{
 };
 pub use phi::PhiAccrual;
 pub use server::{NetServerConfig, NodeStore, SlaveHandle, SlaveServer};
-pub use write_path::{MixedOp, MixedOutcome, MixedPlan, WriteOptions};
+pub use write_path::WriteOptions;

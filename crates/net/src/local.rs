@@ -227,21 +227,6 @@ fn node_dir(root: &std::path::Path, node: u32) -> PathBuf {
     root.join(format!("node-{node}"))
 }
 
-/// Builds the routed key list of `data`: every partition paired with its
-/// full replica set (primary first), in placement order.
-fn routes_of(data: &ClusterData) -> Vec<Route> {
-    data.partitions()
-        .map(|(pk, _cells)| {
-            let replicas = data.replicas_of(pk).to_vec();
-            assert!(!replicas.is_empty(), "unplaced partition {pk:?}");
-            Route {
-                key: pk.clone(),
-                replicas,
-            }
-        })
-        .collect()
-}
-
 /// Boots one slave server per node of `data` on ephemeral loopback ports.
 ///
 /// Returns the cluster plus the routed key list — every partition paired
@@ -252,7 +237,7 @@ pub fn spawn_local_cluster(
     data: ClusterData,
     cfg: NetServerConfig,
 ) -> io::Result<(LocalCluster, Vec<Route>)> {
-    let routes = routes_of(&data);
+    let routes = data.routes();
     let mut slots = Vec::new();
     for table in data.into_tables() {
         match SlaveServer::spawn(table, cfg) {
@@ -293,7 +278,7 @@ pub fn spawn_local_cluster_durable(
     cfg: NetServerConfig,
     dcfg: DurableClusterConfig,
 ) -> io::Result<(LocalCluster, Vec<Route>)> {
-    let routes = routes_of(&data);
+    let routes = data.routes();
     let mut slots: Vec<Slot> = Vec::new();
     let boot = |node: u32, table: &Table| -> io::Result<SlaveHandle> {
         let dir = node_dir(&dcfg.root, node);

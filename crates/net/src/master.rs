@@ -54,27 +54,7 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One sub-query route: a partition key plus the nodes holding a replica
-/// of it, primary first (the order [`kvs_cluster::ClusterData`] placed
-/// them in). The master picks among the replicas with
-/// [`NetConfig::replica_policy`] and walks the list on failover.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route {
-    /// The partition this sub-query aggregates.
-    pub key: PartitionKey,
-    /// Replica node indexes, primary first. Must be non-empty.
-    pub replicas: Vec<u32>,
-}
-
-impl Route {
-    /// A single-replica route (replication factor 1).
-    pub fn single(key: PartitionKey, node: u32) -> Route {
-        Route {
-            key,
-            replicas: vec![node],
-        }
-    }
-}
+pub use kvs_cluster::data::Route;
 
 /// Hedged-read configuration.
 #[derive(Debug, Clone, Copy)]
@@ -344,9 +324,9 @@ pub struct NetMaster {
     /// (`stamps[2]`) so interposers and tests can assert ordering.
     pub(crate) send_seq: u64,
     policy_rng: StdRng,
-    /// Replicated-write-path state: hint queues, the read-repair write
-    /// cache, per-partition acked versions (see `crate::write_path`).
-    pub(crate) wstate: crate::write_path::WriteState,
+    /// The replicated-write coordinator: hint queues and per-partition
+    /// acked writes outlive a run (see `crate::write_path`).
+    pub(crate) coord: kvs_cluster::Coordinator,
 }
 
 /// `TcpStream::connect` with bounded retry on `ConnectionRefused`: a
@@ -422,8 +402,8 @@ impl NetMaster {
             crc_disconnects: 0,
             send_seq: 0,
             policy_rng: StdRng::seed_from_u64(cfg.seed),
+            coord: crate::write_path::coordinator_for(&cfg),
             cfg,
-            wstate: crate::write_path::WriteState::default(),
         })
     }
 
