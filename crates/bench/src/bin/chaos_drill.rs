@@ -11,8 +11,10 @@
 //! A second scenario exercises the tail instead of the blackhole: node 0's
 //! responses are randomly held 40 ms (a straggling replica), the query is
 //! run open-loop with and without hedged reads, and the measured p99
-//! improvement is cross-validated against `cluster::sim`'s `Straggler` +
-//! `hedge` replay of the same arrival schedule.
+//! improvement is cross-validated against `read_path::simulate` — the same
+//! read coordinator on the seeded network, its leg latency calibrated from
+//! a straggler-free run through the same proxies, and a delay fault on
+//! node 0 — replaying the same arrival schedule.
 //!
 //! Knobs (environment):
 //! - `KVSCALE_DRILL_PARTITIONS` — partitions / requests (default 48)
@@ -24,11 +26,14 @@
 //! `target/figures/chaos_drill_straggler.csv`.
 
 use kvs_bench::json::{self, int, num, obj};
-use kvs_bench::{banner, fmt_ms, Csv};
-use kvs_cluster::config::{NodeFailure, Straggler};
+use kvs_bench::{banner, env_u64, fmt_ms, Csv};
+use kvs_cluster::config::NodeFailure;
 use kvs_cluster::data::uniform_partitions;
-use kvs_cluster::sim::{run_query, run_query_paced};
-use kvs_cluster::{ClusterConfig, ClusterData, ReplicaPolicy, RunResult};
+use kvs_cluster::read_path::simulate;
+use kvs_cluster::sim::run_query;
+use kvs_cluster::{
+    ClusterConfig, ClusterData, DelayFault, ReadSimConfig, ReplicaPolicy, SimNetConfig,
+};
 use kvs_net::{
     spawn_local_cluster, wrap_cluster, ChaosDirection, ChaosRule, ChaosSchedule, FaultAction,
     HedgeConfig, NetConfig, NetMaster, NetRunReport, NetServerConfig,
@@ -43,17 +48,10 @@ const RF: usize = 3;
 const VICTIM: u32 = 0;
 const SEED: u64 = 0xD211;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-fn data(partitions: u64, cells: u64) -> ClusterData {
+fn data(partitions: u64, cells: u64, rf: usize) -> ClusterData {
     ClusterData::load(
         NODES,
-        RF,
+        rf,
         TableOptions::default(),
         uniform_partitions(partitions, cells, 4),
     )
@@ -67,7 +65,7 @@ fn measured_run(
     schedules: Vec<ChaosSchedule>,
 ) -> (NetRunReport, u64) {
     let (cluster, routes) =
-        spawn_local_cluster(data(partitions, cells), NetServerConfig::default())
+        spawn_local_cluster(data(partitions, cells, RF), NetServerConfig::default())
             .expect("cluster boots");
     let (proxies, addrs) = wrap_cluster(&cluster.addrs(), schedules).expect("proxies boot");
     let mut master = NetMaster::connect(&addrs, net_cfg).expect("master connects");
@@ -119,36 +117,44 @@ const HEDGE_AFTER_MS: u64 = 8;
 const ARRIVAL_GAP_NS: u64 = 3_000_000;
 const STRAGGLER_RF: usize = 2;
 
-/// One measured open-loop run with node 0's responses randomly held
-/// [`STRAGGLE_MS`]; `hedge` toggles hedged reads.
-fn straggler_measured(partitions: u64, cells: u64, hedge: Option<HedgeConfig>) -> NetRunReport {
-    let data = ClusterData::load(
-        NODES,
-        STRAGGLER_RF,
-        TableOptions::default(),
-        uniform_partitions(partitions, cells, 4),
-    );
-    let (cluster, routes) =
-        spawn_local_cluster(data, NetServerConfig::default()).expect("cluster boots");
-    let mut schedules = vec![ChaosSchedule {
-        seed: SEED,
-        rules: vec![ChaosRule {
-            direction: ChaosDirection::ToMaster,
-            action: FaultAction::Delay(Duration::from_millis(STRAGGLE_MS)),
-            probability: STRAGGLE_P,
-            after_frame: 0,
-            until_frame: Some(partitions),
-        }],
-        blackhole_from: None,
-    }];
-    schedules.extend((1..NODES as u64).map(ChaosSchedule::passthrough));
-    let (proxies, addrs) = wrap_cluster(&cluster.addrs(), schedules).expect("proxies boot");
-    let cfg = NetConfig {
+fn straggler_cfg(hedge: Option<HedgeConfig>) -> NetConfig {
+    NetConfig {
         hedge,
         replica_policy: ReplicaPolicy::Primary,
         ..NetConfig::default()
+    }
+}
+
+/// One measured open-loop run; with `straggle`, node 0's responses are
+/// randomly held [`STRAGGLE_MS`]. `hedge` toggles hedged reads.
+fn straggler_measured(
+    partitions: u64,
+    cells: u64,
+    straggle: bool,
+    hedge: Option<HedgeConfig>,
+) -> NetRunReport {
+    let data = data(partitions, cells, STRAGGLER_RF);
+    let (cluster, routes) =
+        spawn_local_cluster(data, NetServerConfig::default()).expect("cluster boots");
+    let victim = if straggle {
+        ChaosSchedule {
+            seed: SEED,
+            rules: vec![ChaosRule {
+                direction: ChaosDirection::ToMaster,
+                action: FaultAction::Delay(Duration::from_millis(STRAGGLE_MS)),
+                probability: STRAGGLE_P,
+                after_frame: 0,
+                until_frame: Some(partitions),
+            }],
+            blackhole_from: None,
+        }
+    } else {
+        ChaosSchedule::passthrough(SEED)
     };
-    let mut master = NetMaster::connect(&addrs, cfg).expect("master connects");
+    let mut schedules = vec![victim];
+    schedules.extend((1..NODES as u64).map(ChaosSchedule::passthrough));
+    let (proxies, addrs) = wrap_cluster(&cluster.addrs(), schedules).expect("proxies boot");
+    let mut master = NetMaster::connect(&addrs, straggler_cfg(hedge)).expect("master connects");
     let arrivals: Vec<u64> = (0..partitions).map(|i| i * ARRIVAL_GAP_NS).collect();
     let report = master
         .run_with_arrivals(&routes, Some(&arrivals))
@@ -161,34 +167,33 @@ fn straggler_measured(partitions: u64, cells: u64, hedge: Option<HedgeConfig>) -
     report
 }
 
-/// The simulator's replay of the same scenario: identical arrival
-/// schedule, a [`Straggler`] on the same node, and (optionally) the same
-/// fixed hedge delay.
-fn straggler_simulated(partitions: u64, cells: u64, hedged: bool) -> RunResult {
-    let mut cfg = ClusterConfig::paper_optimized_master(NODES).deterministic();
-    cfg.replication_factor = STRAGGLER_RF;
-    cfg.replica_policy = ReplicaPolicy::Primary;
-    cfg.stragglers = vec![Straggler {
-        node: VICTIM,
-        extra: SimDuration::from_millis(STRAGGLE_MS),
-        probability: STRAGGLE_P,
-    }];
-    if hedged {
-        cfg.hedge = Some(SimDuration::from_millis(HEDGE_AFTER_MS));
-    }
-    let mut sim_data = ClusterData::load(
-        NODES,
-        STRAGGLER_RF,
-        TableOptions::default(),
-        uniform_partitions(partitions, cells, 4),
-    );
-    let keys: Vec<_> = (0..partitions)
-        .map(kvs_store::PartitionKey::from_id)
-        .collect();
-    let arrivals: Vec<SimDuration> = (0..partitions)
-        .map(|i| SimDuration::from_nanos(i * ARRIVAL_GAP_NS))
-        .collect();
-    run_query_paced(&cfg, &mut sim_data, &keys, &arrivals)
+/// The same read coordinator replaying the scenario on the seeded
+/// network: the identical arrival schedule, leg latency resampled from
+/// the calibration run's `legs`, node 0's legs delayed [`STRAGGLE_MS`]
+/// with [`STRAGGLE_P`], and the same hedge configuration.
+fn straggler_simulated(
+    partitions: u64,
+    cells: u64,
+    legs: &[f64],
+    hedge: Option<HedgeConfig>,
+) -> NetRunReport {
+    let cfg = ReadSimConfig {
+        net: SimNetConfig {
+            seed: SEED,
+            leg_latency_ms: legs.to_vec(),
+            delay: Some(DelayFault {
+                probability: STRAGGLE_P,
+                extra_ms: STRAGGLE_MS as f64,
+                node: Some(VICTIM),
+            }),
+            down: Vec::new(),
+        },
+        master: straggler_cfg(hedge),
+    };
+    let mut data = data(partitions, cells, STRAGGLER_RF);
+    let routes = data.routes();
+    let arrivals: Vec<u64> = (0..partitions).map(|i| i * ARRIVAL_GAP_NS).collect();
+    simulate(&cfg, &mut data, &routes, Some(&arrivals)).expect("simulated query succeeds")
 }
 
 fn main() {
@@ -238,7 +243,7 @@ fn main() {
     cfg.replication_factor = RF;
     cfg.replica_policy = ReplicaPolicy::Primary;
     cfg.failure_timeout = SimDuration::from_nanos(detection.as_nanos() as u64);
-    let mut sim_data = data(partitions, cells);
+    let mut sim_data = data(partitions, cells, RF);
     let keys: Vec<_> = (0..partitions)
         .map(kvs_store::PartitionKey::from_id)
         .collect();
@@ -248,7 +253,7 @@ fn main() {
         node: VICTIM,
         at: SimDuration::ZERO,
     }];
-    let mut sim_data = data(partitions, cells);
+    let mut sim_data = data(partitions, cells, RF);
     let sim_failed = run_query(&failing_cfg, &mut sim_data, &keys);
 
     let measured_delta =
@@ -321,29 +326,43 @@ fn main() {
          {} ms; hedge after {HEDGE_AFTER_MS} ms\n",
         ARRIVAL_GAP_NS / 1_000_000
     );
-    let plain = straggler_measured(straggler_partitions, cells, None);
-    let hedged = straggler_measured(
-        straggler_partitions,
-        cells,
-        Some(HedgeConfig {
-            quantile: 0.95,
-            min_delay: Duration::from_millis(HEDGE_AFTER_MS),
-        }),
-    );
+    // Calibration: a straggler-free run through the same proxies
+    // harvests the leg-latency pool the sim resamples.
+    let calibration = straggler_measured(straggler_partitions, cells, false, None);
+    let legs: Vec<f64> = calibration
+        .result
+        .traces
+        .iter()
+        .map(|t| t.total().as_millis_f64())
+        .collect();
+    let hedge = Some(HedgeConfig {
+        quantile: 0.95,
+        min_delay: Duration::from_millis(HEDGE_AFTER_MS),
+    });
+    let plain = straggler_measured(straggler_partitions, cells, true, None);
+    let hedged = straggler_measured(straggler_partitions, cells, true, hedge);
     assert!(plain.result.coverage.is_complete(), "plain run lost data");
     assert!(hedged.result.coverage.is_complete(), "hedged run lost data");
     assert_eq!(
         plain.result.counts_by_kind, hedged.result.counts_by_kind,
         "hedged run returned different values"
     );
-    let sim_plain = straggler_simulated(straggler_partitions, cells, false);
-    let sim_hedged = straggler_simulated(straggler_partitions, cells, true);
+    let sim_plain = straggler_simulated(straggler_partitions, cells, &legs, None);
+    let sim_hedged = straggler_simulated(straggler_partitions, cells, &legs, hedge);
+    assert!(
+        sim_hedged.result.coverage.is_complete(),
+        "simulated run lost data"
+    );
+    assert_eq!(
+        sim_hedged.result.counts_by_kind, hedged.result.counts_by_kind,
+        "the simulated replay returned different values"
+    );
 
     let p99 = [
         p99_ms(&plain.result.traces),
         p99_ms(&hedged.result.traces),
-        p99_ms(&sim_plain.traces),
-        p99_ms(&sim_hedged.traces),
+        p99_ms(&sim_plain.result.traces),
+        p99_ms(&sim_hedged.result.traces),
     ];
     let measured_improvement = 1.0 - p99[1] / p99[0];
     let sim_improvement = 1.0 - p99[3] / p99[2];

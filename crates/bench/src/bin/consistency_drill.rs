@@ -37,10 +37,12 @@
 //! the schema-versioned `target/figures/BENCH_consistency.json`.
 
 use kvs_bench::json::{self, int, num, obj, s, Value};
-use kvs_bench::{banner, fmt_ms, Csv};
+use kvs_bench::{banner, env_u64, fmt_ms, Csv};
 use kvs_cluster::data::uniform_partitions;
 use kvs_cluster::replication::simulate;
-use kvs_cluster::{ClusterData, Consistency, DelayFault, ReplicationSimConfig, Route};
+use kvs_cluster::{
+    ClusterData, Consistency, DelayFault, ReplicationSimConfig, Route, SimNetConfig,
+};
 use kvs_net::{
     spawn_local_cluster, wrap_cluster, ChaosDirection, ChaosRule, ChaosSchedule, FaultAction,
     MixedOp, MixedOutcome, MixedPlan, NetConfig, NetMaster, NetServerConfig, WriteOptions,
@@ -55,13 +57,6 @@ const CELLS_PER_PARTITION: u64 = 8;
 const KINDS: u8 = 4;
 const CALIBRATION_OPS: usize = 200;
 const QUORUM_P99_REL_ERR: f64 = 0.25;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// One op of the seeded schedule, world-agnostic.
 #[derive(Debug, Clone, Copy)]
@@ -219,13 +214,16 @@ fn main() {
     );
 
     let sim_cfg = ReplicationSimConfig {
-        seed,
-        leg_latency_ms: legs.clone(),
-        delay: Some(DelayFault {
-            probability: delay_p,
-            extra_ms: delay_ms as f64,
-        }),
-        down: Vec::new(),
+        net: SimNetConfig {
+            seed,
+            leg_latency_ms: legs.clone(),
+            delay: Some(DelayFault {
+                probability: delay_p,
+                extra_ms: delay_ms as f64,
+                node: None,
+            }),
+            down: Vec::new(),
+        },
         timeout_ms: net_cfg().timeout.as_secs_f64() * 1e3,
     };
     let mut csv = Csv::new(

@@ -22,7 +22,7 @@
 //! Output: a table per codec and `target/figures/net_loadgen.csv`.
 
 use kvs_bench::json::{self, int, num, obj, s, Value};
-use kvs_bench::{banner, elements_from_env, fmt_ms, Csv};
+use kvs_bench::{banner, elements_from_env, env_u64, fmt_ms, Csv};
 use kvs_cluster::data::uniform_partitions;
 use kvs_cluster::{ClusterData, Codec};
 use kvs_model::limits::{master_crossover, master_limit_sweep};
@@ -37,13 +37,6 @@ use kvs_store::TableOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rand_distr::{Distribution, Exp};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)

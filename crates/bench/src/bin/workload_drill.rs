@@ -37,7 +37,7 @@
 //! schema-versioned `target/figures/BENCH_workloads.json`.
 
 use kvs_bench::json::{self, int, num, obj, s, Value};
-use kvs_bench::{banner, fmt_ms, Csv};
+use kvs_bench::{banner, env_u64, fmt_ms, Csv};
 use kvs_cluster::data::uniform_partitions;
 use kvs_cluster::sim::run_query_paced;
 use kvs_cluster::Consistency;
@@ -59,13 +59,6 @@ use std::time::Instant;
 
 const CELLS_PER_PARTITION: u64 = 32;
 const KINDS: u8 = 4;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Re-aggregates the sim world's per-request latencies into
 /// per-operation latencies: max over a fan-out (scan), sum over

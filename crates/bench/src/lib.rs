@@ -19,10 +19,16 @@ pub const PAPER_ELEMENTS: u64 = 1_000_000;
 /// Dataset size for the current run: `KVSCALE_ELEMENTS` env var or the
 /// paper's one million.
 pub fn elements_from_env() -> u64 {
-    std::env::var("KVSCALE_ELEMENTS")
+    env_u64("KVSCALE_ELEMENTS", PAPER_ELEMENTS)
+}
+
+/// A numeric knob from the environment, or `default` when it is unset or
+/// does not parse.
+pub fn env_u64(name: &str, default: u64) -> u64 {
+    std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(PAPER_ELEMENTS)
+        .unwrap_or(default)
 }
 
 /// The node counts of the paper's scaling experiments.

@@ -165,11 +165,6 @@ pub struct ClusterConfig {
     pub failure_timeout: SimDuration,
     /// Injected stragglers (empty = no artificial tail).
     pub stragglers: Vec<Straggler>,
-    /// Hedged replica reads: when set, any request unanswered this long
-    /// after dispatch is re-issued to the next live replica;
-    /// first-response-wins. Mirrors `kvs-net`'s hedging so the chaos drill
-    /// can cross-validate measured tail cuts against the model.
-    pub hedge: Option<SimDuration>,
     /// Degraded mode: a sub-query whose every replica is dead completes as
     /// a recorded miss ([`crate::Coverage`]` < 1`) instead of panicking.
     pub degraded: bool,
@@ -196,7 +191,6 @@ impl ClusterConfig {
             failures: Vec::new(),
             failure_timeout: SimDuration::from_millis(500),
             stragglers: Vec::new(),
-            hedge: None,
             degraded: false,
             seed: 0x5EED,
         }

@@ -15,7 +15,7 @@
 //! inflates and hedges fire later, instead of storming healthy-but-slow
 //! replicas.
 
-use std::time::Duration;
+use kvs_simcore::SimDuration;
 
 /// Power-of-two microsecond buckets: bucket `i` covers `[2^i, 2^(i+1))` µs.
 const BUCKETS: usize = 40;
@@ -42,8 +42,8 @@ impl Default for LatencyTracker {
 
 impl LatencyTracker {
     /// Records one send→response latency.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros().max(1) as u64;
+    pub fn record(&mut self, latency: SimDuration) {
+        let us = (latency.as_nanos() / 1_000).max(1);
         let bucket = (63 - us.leading_zeros() as usize).min(BUCKETS - 1);
         self.buckets[bucket] += 1;
         self.samples += 1;
@@ -61,15 +61,15 @@ impl LatencyTracker {
     }
 
     /// Smoothed latency.
-    pub fn ewma(&self) -> Duration {
-        Duration::from_micros(self.ewma_us as u64)
+    pub fn ewma(&self) -> SimDuration {
+        SimDuration::from_micros(self.ewma_us as u64)
     }
 
     /// The `q`-quantile (`0 < q ≤ 1`) of recorded latencies, reported as
     /// the covering bucket's *upper* bound — deliberately conservative so
     /// a hedge never fires below genuinely observed latencies. `None`
     /// until any sample exists.
-    pub fn quantile(&self, q: f64) -> Option<Duration> {
+    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
         if self.samples == 0 {
             return None;
         }
@@ -78,16 +78,17 @@ impl LatencyTracker {
         for (i, &count) in self.buckets.iter().enumerate() {
             seen += count;
             if seen >= rank {
-                return Some(Duration::from_micros(1 << (i + 1)));
+                return Some(SimDuration::from_micros(1 << (i + 1)));
             }
         }
-        Some(Duration::from_micros(1 << BUCKETS))
+        Some(SimDuration::from_micros(1 << BUCKETS))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kvs_simcore::SimDuration as Duration;
 
     #[test]
     fn empty_tracker_has_no_quantile() {

@@ -38,23 +38,39 @@
 //!   round-robin, least-loaded).
 //! * [`queue`] — bounded work queues with observable backpressure, shared
 //!   by the live executor and the `kvs-net` TCP slaves.
+//! * [`read_path`] — the aggregation query's coordinator: a
+//!   deterministic, clock-free state machine deciding replica picks,
+//!   retries, `Busy` back-off, phi-ordered failover, hedged reads,
+//!   deadlines and degraded misses, and keeping the master's per-node
+//!   health table; driven over sockets by `kvs-net` and over the seeded
+//!   network by [`read_path::simulate`].
 //! * [`replication`] — the replicated write path's coordinator: a
 //!   deterministic, clock-free state machine deciding ONE/QUORUM/ALL ack
 //!   counting, LWW versions, read-repair, bounded hinted handoff and
-//!   PCAP-style staleness, driven over sockets by `kvs-net` and over a
-//!   seeded simulated network by [`replication::simulate`].
+//!   PCAP-style staleness, driven over sockets by `kvs-net` and over the
+//!   seeded network by [`replication::simulate`].
+//! * [`simnet`] — the seeded network both coordinators' sims run on:
+//!   resampled leg latency, a delay fault, dark-replica windows.
+//! * [`phi`] — [`PhiAccrual`]: the continuous suspicion level the read
+//!   coordinator orders replicas by (Hayashibara et al., SRDS 2004).
+//! * [`latency`] — [`LatencyTracker`]: online per-node latency histogram
+//!   + EWMA, the source of the hedge-delay quantile.
 //! * [`sim`], [`result`], [`live`].
 
 pub mod codec;
 pub mod config;
 pub mod data;
+pub mod latency;
 pub mod live;
 pub mod messages;
+pub mod phi;
 pub mod policy;
 pub mod queue;
+pub mod read_path;
 pub mod replication;
 pub mod result;
 pub mod sim;
+pub mod simnet;
 pub mod usl;
 
 pub use codec::{Codec, CodecKind};
@@ -62,12 +78,15 @@ pub use config::{
     ClusterConfig, DbConfig, GcConfig, MasterConfig, NetworkConfig, NodeFailure, Straggler,
 };
 pub use data::{ClusterData, Route};
+pub use latency::LatencyTracker;
 pub use messages::{QueryRequest, QueryResponse, WriteAck, WriteRequest};
+pub use phi::PhiAccrual;
 pub use policy::ReplicaPolicy;
 pub use queue::QueueStats;
+pub use read_path::{ReadCoordinator, ReadSimConfig};
 pub use replication::{
-    Consistency, Coordinator, DelayFault, FaultWindow, MixedOp, MixedOutcome, MixedPlan,
-    ReplicationSimConfig,
+    Consistency, Coordinator, MixedOp, MixedOutcome, MixedPlan, ReplicationSimConfig,
 };
 pub use result::{Coverage, RunResult};
 pub use sim::{db_microbench, run_open_loop, run_query, run_query_paced, OpenLoopResult};
+pub use simnet::{DelayFault, FaultWindow, SimNetConfig};

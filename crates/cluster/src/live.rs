@@ -239,8 +239,6 @@ pub fn run_query_live(data: ClusterData, keys: &[PartitionKey], cfg: LiveConfig)
         failovers: 0,
         coverage: Coverage::complete(keys.len() as u64),
         missed: Vec::new(),
-        hedges_sent: 0,
-        hedges_won: 0,
         queue: Some(queue_stats),
     }
 }

@@ -21,22 +21,23 @@
 //!
 //! A threshold of `phi ≥ 8` means "the chance this silence is ordinary
 //! jitter is ≤ 10⁻⁸" — the conventional production setting, and the
-//! default in [`crate::NetConfig`].
+//! default in [`crate::read_path::NetConfig`]. Time is a [`SimTime`]
+//! parameter, so the detector runs on the wall clock over sockets and on
+//! simulated time in [`crate::read_path::simulate`] alike.
 
+use kvs_simcore::SimTime;
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// Sliding-window phi-accrual detector for one node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PhiAccrual {
-    /// Recent inter-arrival gaps, seconds.
+    /// The `WINDOW` most recent inter-arrival gaps, seconds.
     gaps: VecDeque<f64>,
-    window: usize,
-    last_arrival: Option<Instant>,
+    last_arrival: Option<SimTime>,
 }
 
 /// Gaps retained for the distribution fit.
-const DEFAULT_WINDOW: usize = 128;
+const WINDOW: usize = 128;
 /// Arrivals required before the detector expresses an opinion; below
 /// this, [`PhiAccrual::phi`] is `0.0` (no suspicion) so cold starts do
 /// not condemn a node that simply has not been talked to yet.
@@ -46,28 +47,13 @@ const MIN_SAMPLES: usize = 8;
 /// a microsecond of jitter reads as certain death.
 const MIN_STDDEV: f64 = 500e-6;
 
-impl Default for PhiAccrual {
-    fn default() -> Self {
-        PhiAccrual::new(DEFAULT_WINDOW)
-    }
-}
-
 impl PhiAccrual {
-    /// A detector fitting over at most `window` recent gaps.
-    pub fn new(window: usize) -> Self {
-        PhiAccrual {
-            gaps: VecDeque::with_capacity(window.max(2)),
-            window: window.max(2),
-            last_arrival: None,
-        }
-    }
-
     /// Records an arrival (any frame from the node — response, busy or
     /// expired all prove liveness).
-    pub fn heartbeat(&mut self, now: Instant) {
+    pub fn heartbeat(&mut self, now: SimTime) {
         if let Some(last) = self.last_arrival {
-            let gap = now.saturating_duration_since(last).as_secs_f64();
-            if self.gaps.len() == self.window {
+            let gap = now.since(last).as_secs_f64();
+            if self.gaps.len() == WINDOW {
                 self.gaps.pop_front();
             }
             self.gaps.push_back(gap);
@@ -78,14 +64,14 @@ impl PhiAccrual {
     /// Current suspicion level. `0.0` until enough arrivals have been
     /// seen; grows without bound the longer the node stays silent past
     /// its fitted arrival distribution.
-    pub fn phi(&self, now: Instant) -> f64 {
+    pub fn phi(&self, now: SimTime) -> f64 {
         let Some(last) = self.last_arrival else {
             return 0.0;
         };
         if self.gaps.len() < MIN_SAMPLES {
             return 0.0;
         }
-        let silence = now.saturating_duration_since(last).as_secs_f64();
+        let silence = now.since(last).as_secs_f64();
         let n = self.gaps.len() as f64;
         let mean = self.gaps.iter().sum::<f64>() / n;
         let var = self.gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / n;
@@ -103,22 +89,16 @@ impl PhiAccrual {
             g.exp().ln_1p() / std::f64::consts::LN_10
         }
     }
-
-    /// Arrivals recorded so far (gaps, i.e. arrivals minus one).
-    pub fn samples(&self) -> usize {
-        self.gaps.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use kvs_simcore::SimDuration as Duration;
 
-    fn fed(gap: Duration, beats: usize) -> (PhiAccrual, Instant) {
+    fn fed(gap: Duration, beats: usize) -> (PhiAccrual, SimTime) {
         let mut d = PhiAccrual::default();
-        let t0 = Instant::now();
-        let mut t = t0;
+        let mut t = SimTime::ZERO;
         for _ in 0..beats {
             d.heartbeat(t);
             t += gap;
@@ -154,8 +134,7 @@ mod tests {
     fn lumpy_traffic_needs_longer_silence() {
         // Same mean gap, much larger spread ⇒ slower suspicion accrual.
         let mut lumpy = PhiAccrual::default();
-        let t0 = Instant::now();
-        let mut t = t0;
+        let mut t = SimTime::ZERO;
         for i in 0..64 {
             lumpy.heartbeat(t);
             t += Duration::from_millis(if i % 2 == 0 { 1 } else { 19 });

@@ -18,13 +18,10 @@
 
 use crate::data::Route;
 use crate::messages::{QueryRequest, WriteRequest};
+use crate::simnet::{at_ms, Machine, SimNet, SimNetConfig};
 use kvs_simcore::{SimDuration, SimTime};
 use kvs_store::{Cell, PartitionKey};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::binary_heap::PeekMut;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Bound on each node's hint queue; a hint past it is dropped and counted
@@ -161,6 +158,9 @@ pub enum Reply {
     Busy,
     /// The message's deadline passed before the replica served it.
     Expired,
+    /// The replica could not serve the message (a failed durable read, an
+    /// undecodable payload): the leg is missed.
+    Unavailable,
 }
 
 /// What the coordinator asks the code running it to do.
@@ -193,7 +193,8 @@ enum Leg {
     Backoff(SimTime),
     /// Answered: the read version, or a write acked at its version.
     Answered(u64),
-    /// Answered without applying: `Expired`, or an ack below the version.
+    /// Answered without applying: `Expired`, `Unavailable`, or an ack
+    /// below the version.
     Missed,
 }
 
@@ -351,7 +352,7 @@ impl Coordinator {
                     self.out.busy_retries += 1;
                     *leg = Leg::Backoff(now + self.backoff);
                 }
-                (Reply::Expired, _) => *leg = Leg::Missed,
+                (Reply::Expired | Reply::Unavailable, _) => *leg = Leg::Missed,
                 (Reply::Read(version), None) => *leg = Leg::Answered(version),
                 // The ack counts iff the replica provably holds data at
                 // least as new as this write.
@@ -587,141 +588,65 @@ impl Coordinator {
     }
 }
 
-/// A replica that is dark for a window of simulated time: sends to it
-/// fail, and its hints replay when the window closes.
-#[derive(Debug, Clone)]
-pub struct FaultWindow {
-    /// The dark node.
-    pub node: u32,
-    /// Window start, inclusive (ms).
-    pub from_ms: f64,
-    /// Window end, exclusive (ms); hints replay at this instant.
-    pub until_ms: f64,
-}
+impl Machine for Coordinator {
+    type Reply = Reply;
 
-/// Random per-leg extra delay on the coordinator→replica hop, the sim
-/// twin of a chaos `delay` rule.
-#[derive(Debug, Clone, Copy)]
-pub struct DelayFault {
-    /// Probability a leg is delayed.
-    pub probability: f64,
-    /// The extra latency a delayed leg pays (ms).
-    pub extra_ms: f64,
+    fn reply(&mut self, now: SimTime, node: u32, id: u64, reply: Reply) {
+        Coordinator::reply(self, now, node, id, reply);
+    }
+
+    fn down(&mut self, now: SimTime, node: u32) {
+        Coordinator::down(self, now, node);
+    }
 }
 
 /// The simulated network [`simulate`] drives the coordinator over.
 #[derive(Debug, Clone)]
 pub struct ReplicationSimConfig {
-    /// Seed for every random draw in the run.
-    pub seed: u64,
-    /// Empirical one-leg round-trip samples (ms), resampled per leg.
-    pub leg_latency_ms: Vec<f64>,
-    /// Optional random delay fault applied to every leg.
-    pub delay: Option<DelayFault>,
-    /// Dark-replica windows (hinted handoff exercises).
-    pub down: Vec<FaultWindow>,
+    /// Leg latency, the delay fault (on the coordinator→replica hop) and
+    /// the dark windows.
+    pub net: SimNetConfig,
     /// The coordinator's per-round timeout (ms), as the socket master's.
     pub timeout_ms: f64,
 }
 
-/// Something the simulated network delivers to the coordinator.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Delivery {
-    Reply(u32, u64, Reply),
-    Down(u32),
-}
-
-struct SimNet<'a> {
-    cfg: &'a ReplicationSimConfig,
-    rng: StdRng,
-    now: SimTime,
-    seq: u64,
-    inbox: BinaryHeap<Reverse<(SimTime, u64, Delivery)>>,
+/// The seeded network plus the replicas' state.
+struct World<'a> {
+    net: SimNet<'a, Reply>,
     /// Dark windows not yet replayed, `(closes at, node)`, in closing order.
     closing: VecDeque<(SimTime, u32)>,
-    /// Append-only apply log: `(node, partition)` → `(applied at,
-    /// version)`. A probe filters by time, so a version already visible
-    /// stays on record while a newer write is still in flight.
-    log: HashMap<(u32, PartitionKey), Vec<(SimTime, u64)>>,
+    log: ApplyLog,
 }
 
-fn at_ms(ms: f64) -> SimTime {
-    SimTime::ZERO + SimDuration::from_millis_f64(ms)
+/// Append-only apply log: `(node, partition)` → `(applied at, version)`.
+/// A probe filters by time, so a version already visible stays on record
+/// while a newer write is still in flight.
+type ApplyLog = HashMap<(u32, PartitionKey), Vec<(SimTime, u64)>>;
+
+/// The version `node` reports for `partition` at `t`: the newest applied
+/// at or before `t` (LWW: strictly newer wins, ties keep the incumbent —
+/// which is why hint replay is idempotent).
+fn visible(log: &ApplyLog, node: u32, partition: &PartitionKey, t: SimTime) -> u64 {
+    let applied = log.get(&(node, partition.clone())).into_iter().flatten();
+    applied
+        .filter(|(at, _)| *at <= t)
+        .map(|(_, v)| *v)
+        .max()
+        .unwrap_or(0)
 }
 
-impl SimNet<'_> {
-    fn dark(&self, node: u32, t: SimTime) -> bool {
-        let dark = |w: &FaultWindow| at_ms(w.from_ms) <= t && t < at_ms(w.until_ms);
-        self.cfg.down.iter().any(|w| w.node == node && dark(w))
-    }
-
-    /// The version `node` reports for `partition` at `t`: the newest
-    /// applied at or before `t` (LWW: strictly newer wins, ties keep the
-    /// incumbent — which is why hint replay is idempotent).
-    fn visible(&self, node: u32, partition: &PartitionKey, t: SimTime) -> u64 {
-        let log = self.log.get(&(node, partition.clone()));
-        let applied = log.into_iter().flatten().filter(|(at, _)| *at <= t);
-        applied.map(|(_, v)| *v).max().unwrap_or(0)
-    }
-
-    fn deliver_at(&mut self, t: SimTime, what: Delivery) {
-        self.seq += 1;
-        self.inbox.push(Reverse((t, self.seq, what)));
-    }
-
-    /// One leg: the replica applies (or reads) after half the sampled
-    /// round trip plus any injected delay, and answers after the whole
-    /// of it. A dark replica fails the send at once, like a closed socket;
-    /// a message or reply landing inside a dark window is lost.
+impl World<'_> {
+    /// One leg: the replica applies (or reads) when the network serves it.
     fn send(&mut self, coord: &mut Coordinator, node: u32, id: u64, msg: Message) {
-        if self.dark(node, self.now) {
-            return coord.down(self.now, node);
-        }
-        let samples = &self.cfg.leg_latency_ms;
-        let base = match samples.len() {
-            0 => 1.0,
-            n => samples[self.rng.gen_range(0..n)],
-        };
-        let extra = match self.cfg.delay {
-            Some(d) if self.rng.gen_bool(d.probability.clamp(0.0, 1.0)) => d.extra_ms,
-            _ => 0.0,
-        };
-        let applied = self.now + SimDuration::from_millis_f64(base / 2.0 + extra);
-        let answered = self.now + SimDuration::from_millis_f64(base + extra);
-        if self.dark(node, applied) {
-            return;
-        }
-        let reply = match msg {
-            Message::Read(q) => Reply::Read(self.visible(node, &q.partition, applied)),
+        let log = &mut self.log;
+        self.net.send(coord, node, id, |_, applied| match msg {
+            Message::Read(q) => Reply::Read(visible(log, node, &q.partition, applied)),
             Message::Write(u) | Message::Rmw(u) => {
-                let log = self.log.entry((node, u.partition.clone())).or_default();
-                log.push((applied, u.timestamp));
-                Reply::Ack(self.visible(node, &u.partition, applied))
+                let entry = log.entry((node, u.partition.clone())).or_default();
+                entry.push((applied, u.timestamp));
+                Reply::Ack(visible(log, node, &u.partition, applied))
             }
-        };
-        if !self.dark(node, answered) {
-            self.deliver_at(answered, Delivery::Reply(node, id, reply));
-        }
-    }
-
-    /// Delivers the earliest inbox entry at or before `t`, if any.
-    fn step(&mut self, coord: &mut Coordinator, t: SimTime) -> bool {
-        let Some(top) = self.inbox.peek_mut().filter(|top| top.0 .0 <= t) else {
-            return false;
-        };
-        let Reverse((at, _, what)) = PeekMut::pop(top);
-        self.now = self.now.max(at);
-        match what {
-            Delivery::Reply(node, id, reply) => coord.reply(self.now, node, id, reply),
-            Delivery::Down(node) => coord.down(self.now, node),
-        }
-        true
-    }
-
-    /// Delivers everything due by `t`, then moves the clock to `t`.
-    fn advance(&mut self, coord: &mut Coordinator, t: SimTime) {
-        while self.step(coord, t) {}
-        self.now = self.now.max(t);
+        });
     }
 
     /// Runs the coordinator's current operation to [`Command::Done`],
@@ -737,9 +662,9 @@ impl SimNet<'_> {
             let Some(due) = coord.next_deadline() else {
                 return;
             };
-            if !self.step(coord, due) {
-                self.now = self.now.max(due);
-                coord.tick(self.now);
+            if !self.net.step(coord, due) {
+                self.net.now = self.net.now.max(due);
+                coord.tick(self.net.now);
             }
         }
     }
@@ -749,8 +674,8 @@ impl SimNet<'_> {
     fn replay_closed(&mut self, coord: &mut Coordinator, t: SimTime) {
         while let Some((until, node)) = self.closing.front().copied().filter(|w| w.0 <= t) {
             self.closing.pop_front();
-            self.advance(coord, until);
-            coord.replay(self.now, node);
+            self.net.advance(coord, until);
+            coord.replay(self.net.now, node);
             self.run_op(coord);
         }
     }
@@ -778,42 +703,37 @@ pub fn simulate(
     let timeout = SimDuration::from_millis_f64(cfg.timeout_ms);
     let mut coord = Coordinator::new(timeout, SimDuration::ZERO);
     let mut closing: Vec<(SimTime, u32)> = cfg
+        .net
         .down
         .iter()
         .map(|w| (at_ms(w.until_ms), w.node))
         .collect();
     closing.sort();
-    let mut net = SimNet {
-        cfg,
-        rng: StdRng::seed_from_u64(cfg.seed ^ 0x5EED_4E90),
-        now: SimTime::ZERO,
-        seq: 0,
-        inbox: BinaryHeap::new(),
+    let mut world = World {
+        net: SimNet::new(&cfg.net, 0x5EED_4E90),
         closing: closing.into(),
         log: HashMap::new(),
     };
-    for w in &cfg.down {
-        net.deliver_at(at_ms(w.from_ms), Delivery::Down(w.node));
-    }
     for (i, plan) in plans.iter().enumerate() {
-        let due = arrivals_ns.map_or(net.now, |a| SimTime::from_nanos(a[i]));
-        net.replay_closed(&mut coord, due);
-        net.advance(&mut coord, due);
-        let now = net.now;
-        coord.start(now, plan, |n| net.dark(n, now));
-        net.run_op(&mut coord);
+        let due = arrivals_ns.map_or(world.net.now, |a| SimTime::from_nanos(a[i]));
+        world.replay_closed(&mut coord, due);
+        world.net.advance(&mut coord, due);
+        let now = world.net.now;
+        coord.start(now, plan, |n| world.net.dark(n, now));
+        world.run_op(&mut coord);
     }
-    net.replay_closed(&mut coord, SimTime::MAX);
+    world.replay_closed(&mut coord, SimTime::MAX);
 
     let mut out = coord.take_outcome();
-    out.makespan_ms = net.now.as_millis_f64();
+    out.makespan_ms = world.net.now.as_millis_f64();
     let replicas: HashMap<&PartitionKey, &[u32]> = plans
         .iter()
         .map(|p| (&p.route.key, &p.route.replicas[..]))
         .collect();
     let held = |pk: &PartitionKey, v: u64| {
         let rs = replicas.get(pk).copied().unwrap_or_default();
-        rs.iter().any(|&n| net.visible(n, pk, SimTime::MAX) >= v)
+        rs.iter()
+            .any(|&n| visible(&world.log, n, pk, SimTime::MAX) >= v)
     };
     out.lost_acked_writes = out.acked.iter().filter(|(pk, v)| !held(pk, *v)).count() as u64;
     out
@@ -822,6 +742,7 @@ pub fn simulate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simnet::{DelayFault, FaultWindow};
 
     /// `partition` on all three nodes, primary `partition % 3`.
     fn plan(partition: u64, op: MixedOp, consistency: Consistency) -> MixedPlan {
@@ -854,18 +775,21 @@ mod tests {
 
     fn cfg(delay: Option<(f64, f64)>, dark_until_ms: Option<f64>) -> ReplicationSimConfig {
         ReplicationSimConfig {
-            seed: 7,
-            leg_latency_ms: vec![1.0, 1.2, 1.5, 2.0],
-            delay: delay.map(|(probability, extra_ms)| DelayFault {
-                probability,
-                extra_ms,
-            }),
-            // Node 2 dark from the start.
-            down: Vec::from_iter(dark_until_ms.map(|until_ms| FaultWindow {
-                node: 2,
-                from_ms: 0.0,
-                until_ms,
-            })),
+            net: SimNetConfig {
+                seed: 7,
+                leg_latency_ms: vec![1.0, 1.2, 1.5, 2.0],
+                delay: delay.map(|(probability, extra_ms)| DelayFault {
+                    probability,
+                    extra_ms,
+                    node: None,
+                }),
+                // Node 2 dark from the start.
+                down: Vec::from_iter(dark_until_ms.map(|until_ms| FaultWindow {
+                    node: 2,
+                    from_ms: 0.0,
+                    until_ms,
+                })),
+            },
             timeout_ms: 250.0,
         }
     }
@@ -968,14 +892,12 @@ mod tests {
     fn same_seed_replays_identically() {
         // Delay, a dark window and hint overflow in one schedule: node 2
         // misses more writes than its queue holds.
-        let cfg = ReplicationSimConfig {
-            down: vec![FaultWindow {
-                node: 2,
-                from_ms: 50.0,
-                until_ms: 60_000.0,
-            }],
-            ..cfg(Some((0.2, 20.0)), None)
-        };
+        let mut cfg = cfg(Some((0.2, 20.0)), None);
+        cfg.net.down = vec![FaultWindow {
+            node: 2,
+            from_ms: 50.0,
+            until_ms: 60_000.0,
+        }];
         let plans: Vec<MixedPlan> = (0..1_500u64)
             .map(|i| match i % 5 {
                 0 => read(i % 16, Consistency::Quorum),

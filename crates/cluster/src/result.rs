@@ -70,11 +70,6 @@ pub struct RunResult {
     /// Request ids of unanswered sub-queries, sorted (empty when
     /// `coverage.is_complete()`).
     pub missed: Vec<u64>,
-    /// Hedged (duplicate) requests issued to a second replica; 0 when
-    /// hedging is off.
-    pub hedges_sent: u64,
-    /// Hedged requests whose duplicate answered first.
-    pub hedges_won: u64,
     /// Slave work-queue backpressure counters, merged over all nodes.
     /// `None` for the simulator, whose queueing is modelled analytically.
     pub queue: Option<crate::queue::QueueStats>,
@@ -135,8 +130,6 @@ mod tests {
             failovers: 0,
             coverage: Coverage::complete(0),
             missed: Vec::new(),
-            hedges_sent: 0,
-            hedges_won: 0,
             queue: None,
         }
     }

@@ -27,7 +27,7 @@ use kvs_simcore::{Dist, Engine, Resource, RngHub, SimDuration, SimTime};
 use kvs_stages::{analyze, Stage, TraceRecorder};
 use kvs_store::PartitionKey;
 use rand::rngs::StdRng;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -56,9 +56,6 @@ struct SharedState {
     send_first: Option<SimTime>,
     send_last: SimTime,
     misses: Vec<u64>,
-    hedges_sent: u64,
-    hedges_won: u64,
-    extra_bytes_to_slaves: u64,
 }
 
 /// True when `node` has failed by instant `at` under the injected failure
@@ -90,8 +87,8 @@ fn sample_service_ms(cfg: &ClusterConfig, base_ms: f64, mean_ms: f64, rng: &mut 
     dist.sample(rng)
 }
 
-/// Everything one in-flight attempt (primary or hedge) of a sub-query
-/// needs, shared between the closure hops of its lifecycle.
+/// Everything one in-flight sub-query needs, shared between the closure
+/// hops of its lifecycle.
 struct AttemptEnv {
     cfg: Rc<ClusterConfig>,
     st: Rc<RefCell<SharedState>>,
@@ -99,33 +96,19 @@ struct AttemptEnv {
     master_rx: Rc<Vec<Resource>>,
     shard: usize,
     p: Rc<Prepared>,
-    /// First-response-wins flag shared by the primary and its hedge.
-    done: Rc<Cell<bool>>,
     /// When the master-to-slaves stage of this request began (t=0 for the
     /// batch query; the arrival instant for paced runs).
     issued_at: SimTime,
 }
 
-/// Plays out one attempt of a sub-query against `node`: request transit
-/// (plus any failover `penalty`), database service, response transit
+/// Plays out a sub-query against `node`: request transit (plus any
+/// failover `penalty`), database service, response transit
 /// (straggler-inflated when one is injected on the node), master receive.
-/// Only the first attempt of a request to complete records its trace and
-/// its answer; the loser is dropped at the recording point, exactly as the
-/// network master deduplicates a lost hedge's late response.
-fn launch_attempt(
-    eng: &mut Engine,
-    env: Rc<AttemptEnv>,
-    node: u32,
-    penalty: SimDuration,
-    is_hedge: bool,
-) {
+fn launch_attempt(eng: &mut Engine, env: Rc<AttemptEnv>, node: u32, penalty: SimDuration) {
     let transit = env.cfg.network.transit(env.p.req_bytes) + penalty;
     let env0 = env.clone();
     eng.schedule_in(transit, move |eng| {
         let env = env0;
-        if env.done.get() {
-            return; // answered before this attempt even arrived
-        }
         let arrival = eng.now();
         let db = env.dbs[node as usize].clone();
         let service = {
@@ -161,9 +144,6 @@ fn launch_attempt(
                 let env3 = env.clone();
                 env.master_rx[env.shard].submit(eng, rx_time, move |eng, _rx_job| {
                     let env = env3;
-                    if env.done.replace(true) {
-                        return; // lost the race; duplicate answer dropped
-                    }
                     let mut s = env.st.borrow_mut();
                     let id = env.p.request_id;
                     s.recorder.begin(id, node, env.p.cells);
@@ -174,9 +154,6 @@ fn launch_attempt(
                     s.recorder.record(id, Stage::InDb, started_at, db_done);
                     s.recorder
                         .record(id, Stage::SlaveToMaster, db_done, eng.now());
-                    if is_hedge {
-                        s.hedges_won += 1;
-                    }
                     for (&kind, &count) in &env.p.response.counts {
                         *s.counts.entry(kind).or_insert(0) += count;
                     }
@@ -293,9 +270,6 @@ fn run_query_inner(
         send_first: None,
         send_last: SimTime::ZERO,
         misses: Vec::new(),
-        hedges_sent: 0,
-        hedges_won: 0,
-        extra_bytes_to_slaves: 0,
     }));
     let shards = cfg.master_shards.max(1);
     let master_tx: Vec<Resource> = (0..shards)
@@ -400,36 +374,9 @@ fn run_query_inner(
                     master_rx,
                     shard,
                     p: p.clone(),
-                    done: Rc::new(Cell::new(false)),
                     issued_at,
                 });
-                launch_attempt(eng, env.clone(), node, penalty, false);
-                // Hedge: if the request is still unanswered `delay` after
-                // dispatch, re-issue it to the next live replica. The
-                // duplicate bypasses the master-tx resource — a deliberate
-                // approximation (the real master's hedge is sent from the
-                // collect loop, off the issue path's critical resource).
-                if let Some(delay) = cfg.hedge {
-                    if p.replicas.len() > 1 {
-                        let primary_ix = attempt;
-                        eng.schedule_in(delay, move |eng| {
-                            if env.done.get() {
-                                return;
-                            }
-                            let n = env.p.replicas.len();
-                            let target = (1..n)
-                                .map(|step| env.p.replicas[(primary_ix + step) % n])
-                                .find(|&cand| !node_is_dead(&env.cfg, cand, eng.now()));
-                            let Some(hnode) = target else { return };
-                            {
-                                let mut s = env.st.borrow_mut();
-                                s.hedges_sent += 1;
-                                s.extra_bytes_to_slaves += env.p.req_bytes as u64;
-                            }
-                            launch_attempt(eng, env.clone(), hnode, SimDuration::ZERO, true);
-                        });
-                    }
-                }
+                launch_attempt(eng, env, node, penalty);
             });
         };
         if arrivals.is_some() {
@@ -461,7 +408,7 @@ fn run_query_inner(
         counts_by_kind: state.counts,
         total_cells: state.total_cells,
         messages: state.msgs_sent,
-        bytes_to_slaves: bytes_to_slaves + state.extra_bytes_to_slaves,
+        bytes_to_slaves,
         bytes_to_master,
         issue_span,
         failovers: state.failovers,
@@ -470,8 +417,6 @@ fn run_query_inner(
             total: keys.len() as u64,
         },
         missed: misses,
-        hedges_sent: state.hedges_sent,
-        hedges_won: state.hedges_won,
         queue: None,
     }
 }

@@ -1,0 +1,31 @@
+//! Fixture: the read coordinator's Busy arm lost its re-arm contract
+//! (KVS-L008).
+
+pub enum Reply {
+    Response,
+    Busy,
+}
+
+pub struct Coordinator {
+    recorder: Recorder,
+}
+
+impl Coordinator {
+    pub fn reply(&mut self, id: u64, reply: Reply) {
+        match reply {
+            Reply::Response => self.record(id),
+            Reply::Busy => {
+                self.back_off(id);
+            }
+        }
+    }
+
+    fn record(&mut self, id: u64) {
+        self.recorder.record(id, Stage::MasterToSlave);
+        self.recorder.record(id, Stage::InQueue);
+        self.recorder.record(id, Stage::InDb);
+        self.recorder.record(id, Stage::SlaveToMaster);
+    }
+
+    fn back_off(&mut self, _id: u64) {}
+}

@@ -663,15 +663,18 @@ fn channel_topology(ws: &Workspace, out: &mut Vec<Diagnostic>) {
 // KVS-L011: stage-stamp dataflow.
 // ---------------------------------------------------------------------------
 
-/// The four pipeline stages of PAPER.md §IV; `master.rs` must keep
-/// recording all of them or the per-stage decomposition silently loses a
-/// term.
+/// The four pipeline stages of PAPER.md §IV; the read coordinator must
+/// keep recording all of them, and any other file that records one must
+/// record all, or the per-stage decomposition silently loses a term.
 const STAGES: &[&str] = &[
     "Stage::MasterToSlave",
     "Stage::InQueue",
     "Stage::InDb",
     "Stage::SlaveToMaster",
 ];
+
+/// Where the read path's stage stamps are turned into traces.
+const STAGE_RECORDER: &str = "crates/cluster/src/read_path.rs";
 
 fn stamp_scope(rel: &str) -> bool {
     rel.starts_with("crates/net/src/")
@@ -682,13 +685,16 @@ fn stamp_scope(rel: &str) -> bool {
 
 fn stamp_dataflow(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     for f in &ws.files {
+        if f.rel == STAGE_RECORDER {
+            check_stage_completeness(f, true, out);
+        }
         if !stamp_scope(&f.rel) {
             continue;
         }
         let src = f.text.as_str();
         let trees = tree::build(src, &f.toks);
         check_frame_literals(f, src, &trees, out);
-        check_stage_completeness(f, out);
+        check_stage_completeness(f, false, out);
         check_stamp_mutations(f, out);
     }
 }
@@ -905,7 +911,9 @@ fn slot_text(src: &str, toks: &[Tok], trees: &[&Tree]) -> String {
     s
 }
 
-fn check_stage_completeness(f: &SourceFile, out: &mut Vec<Diagnostic>) {
+/// `required`: the file must record the stages at all (the recorder), not
+/// only all of them once it records one.
+fn check_stage_completeness(f: &SourceFile, required: bool, out: &mut Vec<Diagnostic>) {
     let mut present: BTreeMap<&str, usize> = BTreeMap::new();
     for (n, l) in f.numbered() {
         if l.in_test {
@@ -917,10 +925,10 @@ fn check_stage_completeness(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             }
         }
     }
-    if present.is_empty() || present.len() == STAGES.len() {
+    if (present.is_empty() && !required) || present.len() == STAGES.len() {
         return;
     }
-    let first = *present.values().min().expect("non-empty");
+    let first = present.values().min().copied().unwrap_or(1);
     let missing: Vec<&str> = STAGES
         .iter()
         .filter(|s| !present.contains_key(**s))
@@ -931,8 +939,8 @@ fn check_stage_completeness(f: &SourceFile, out: &mut Vec<Diagnostic>) {
         path: f.rel.clone(),
         line: first,
         message: format!(
-            "stage decomposition incomplete: this file records some stages but not {} — \
-             the per-stage model loses a term",
+            "stage decomposition incomplete: this file does not record {} — the \
+             per-stage model loses a term",
             missing.join(", ")
         ),
     });

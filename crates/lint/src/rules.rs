@@ -164,7 +164,11 @@ const DETERMINISTIC_ZONES: &[&str] = &[
     "crates/workloads/src/",
     "crates/core/src/",
     "crates/cluster/src/sim.rs",
+    "crates/cluster/src/simnet.rs",
     "crates/cluster/src/replication.rs",
+    "crates/cluster/src/read_path.rs",
+    "crates/cluster/src/phi.rs",
+    "crates/cluster/src/latency.rs",
 ];
 
 fn in_deterministic_zone(rel: &str) -> bool {
@@ -1033,11 +1037,16 @@ fn lock_across_blocking(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// KVS-L008: the invariants PR 1–3 established by convention, pinned as
-/// comment contracts so they cannot silently evaporate in a refactor.
+/// The read coordinator: the Busy arm whose re-arm contract L008 pins.
+const READ_COORDINATOR: &str = "crates/cluster/src/read_path.rs";
+
+/// KVS-L008: invariants established by convention, pinned as comment
+/// contracts so they cannot silently evaporate in a refactor.
 fn comment_contracts(ws: &Workspace, out: &mut Vec<Diagnostic>) {
     if let Some(f) = ws.file("crates/net/src/master.rs") {
         send_seq_monotonicity(f, out);
+    }
+    if let Some(f) = ws.file(READ_COORDINATOR) {
         busy_rearm_contract(f, out);
     }
     if let Some((rel, lines)) = &ws.net_md {
@@ -1111,14 +1120,23 @@ fn send_seq_monotonicity(f: &SourceFile, out: &mut Vec<Diagnostic>) {
 }
 
 /// The Busy allowance re-arm is behavior tests pin (`busy_budget.rs`); the
-/// code site must keep saying so, or the next refactor will "simplify" it
-/// away.
+/// read coordinator's Busy arm must keep saying so, or the next refactor
+/// will "simplify" it away. A coordinator without a Busy arm has lost the
+/// back-off itself.
 fn busy_rearm_contract(f: &SourceFile, out: &mut Vec<Diagnostic>) {
     let arm = f
         .numbered()
-        .find(|(_, l)| !l.in_test && l.code.contains("FrameKind::Busy =>"));
+        .find(|(_, l)| !l.in_test && l.code.contains("Reply::Busy =>"));
     let Some((arm_line, _)) = arm else {
-        return; // no Busy handling in this (fixture) master.rs
+        out.push(Diagnostic {
+            rule: "KVS-L008",
+            path: f.rel.clone(),
+            line: 1,
+            message: "the read coordinator has no `Reply::Busy =>` arm — Busy back-off (flow \
+                      control, never a failure) must stay an explicit decision"
+                .to_string(),
+        });
+        return;
     };
     let documented = (arm_line..arm_line + 30)
         .filter_map(|n| f.lines.get(n - 1))
@@ -1142,8 +1160,8 @@ fn busy_rearm_contract(f: &SourceFile, out: &mut Vec<Diagnostic>) {
             rule: "KVS-L008",
             path: f.rel.clone(),
             line: arm_line,
-            message: "master.rs must reference the pinning test (tests/busy_budget.rs) near \
-                      the Busy contract"
+            message: "the read coordinator must reference the pinning test \
+                      (tests/busy_budget.rs) near the Busy contract"
                 .to_string(),
         });
     }

@@ -29,13 +29,20 @@ fn each_violating_fixture_fails_with_its_rule() {
     let cases = [
         ("l000_stale", "KVS-L000", "lint.waivers.toml"),
         ("l001_systemtime", "KVS-L001", "crates/cluster/src/sim.rs"),
+        (
+            "l001_read_path",
+            "KVS-L001",
+            "crates/cluster/src/read_path.rs",
+        ),
         ("l002_drift", "KVS-L002", "docs/NET.md"),
         ("l005_unsafe", "KVS-L005", "crates/store/src/raw.rs"),
         ("l007_lock", "KVS-L007", "crates/net/src/srv.rs"),
         ("l008_reset", "KVS-L008", "crates/net/src/master.rs"),
+        ("l008_busy", "KVS-L008", "crates/cluster/src/read_path.rs"),
         ("l009_deadlock", "KVS-L009", "crates/net/src/locks.rs"),
         ("l010_channel", "KVS-L010", "crates/cluster/src/chan.rs"),
         ("l011_stamp", "KVS-L011", "crates/net/src/server.rs"),
+        ("l011_stages", "KVS-L011", "crates/cluster/src/read_path.rs"),
         ("l013_drift", "KVS-L013", "docs/STORE.md"),
         ("l014_blocking", "KVS-L014", "crates/net/src/pool.rs"),
         ("l015_crash", "KVS-L015", "crates/store/src/durable.rs"),

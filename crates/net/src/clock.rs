@@ -6,6 +6,7 @@
 //! them saturates: `SystemTime` is not monotonic, and a stage observed
 //! "backwards" by a few nanoseconds must clamp to zero, not wrap.
 
+use kvs_simcore::SimTime;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Current wall-clock time, nanoseconds since the UNIX epoch.
@@ -16,6 +17,12 @@ pub fn wall_ns() -> u64 {
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_nanos() as u64)
         .unwrap_or(0)
+}
+
+/// The wall clock as the coordinators' time base: both state machines
+/// take `SimTime`, and over sockets that time is [`wall_ns`].
+pub fn now() -> SimTime {
+    SimTime::from_nanos(wall_ns())
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //!      2     1  version      2 (version 1 frames still decode, see below)
 //!      3     1  kind         1 = request, 2 = response, 3 = busy,
 //!                            4 = expired, 5 = write, 6 = write-ack,
-//!                            7 = rmw
+//!                            7 = rmw, 8 = unavailable
 //!      4     1  flags        bit 0: payload encoded with the compact codec
 //!      5     8  id           request id (present even in busy frames, so
 //!                            the master can retry without decoding bodies)
@@ -19,8 +19,8 @@
 //!     49     8  deadline     absolute wall-clock deadline in nanoseconds
 //!                            since the UNIX epoch; 0 = no deadline
 //!     57     4  checksum     CRC-32 (IEEE) over bytes [0, 57) + payload
-//!     61   len  payload      codec-encoded body (empty for busy and
-//!                            expired frames)
+//!     61   len  payload      codec-encoded body (empty for busy,
+//!                            expired and unavailable frames)
 //! ```
 //!
 //! Version 1 frames are identical except the `deadline` field is absent
@@ -44,6 +44,8 @@
 //! * busy — `stamps[0]` echoes the request's send time;
 //! * expired — `stamps[0]` echoes the request's send time, `stamps[1]`
 //!   the slave-side wall clock when the deadline was found to have passed;
+//! * unavailable — `stamps[0]` echoes the request's send time, `stamps[1]`
+//!   the slave-side wall clock when it refused;
 //! * write / rmw — same convention as request (`stamps[0]` issue,
 //!   `stamps[1]` coordinator send, `stamps[2]` send sequence number); the
 //!   LWW timestamp travels in the payload, not the stamps;
@@ -101,6 +103,10 @@ pub enum FrameKind {
     /// pre-image, then applies the write under the same LWW rule. Same
     /// payload as [`FrameKind::Write`], answered with a write-ack.
     Rmw,
+    /// Slave → master refusal: this replica cannot serve the id (a failed
+    /// durable read, or a checksummed but undecodable payload). The master
+    /// fails over at once; it is never an empty answer.
+    Unavailable,
 }
 
 impl FrameKind {
@@ -113,6 +119,7 @@ impl FrameKind {
             FrameKind::Write => 5,
             FrameKind::WriteAck => 6,
             FrameKind::Rmw => 7,
+            FrameKind::Unavailable => 8,
         }
     }
 
@@ -125,6 +132,7 @@ impl FrameKind {
             5 => Some(FrameKind::Write),
             6 => Some(FrameKind::WriteAck),
             7 => Some(FrameKind::Rmw),
+            8 => Some(FrameKind::Unavailable),
             _ => None,
         }
     }
@@ -567,6 +575,21 @@ mod tests {
         assert_eq!(wire.len(), HEADER_LEN);
         let (decoded, _) = Frame::decode(&wire).unwrap().unwrap();
         assert_eq!(decoded, f);
+    }
+
+    #[test]
+    fn unavailable_kind_roundtrips() {
+        let f = Frame {
+            kind: FrameKind::Unavailable,
+            flags: FLAG_COMPACT,
+            id: 9,
+            stamps: [100, 200, 0, 0],
+            deadline: 0,
+            payload: Bytes::new(),
+        };
+        let wire = f.encode();
+        assert_eq!(wire[3], 8);
+        assert_eq!(Frame::decode(&wire).unwrap().unwrap().0, f);
     }
 
     #[test]

@@ -22,14 +22,12 @@
 //!   [`kvs_store::Table`], with a bounded work queue
 //!   ([`kvs_cluster::queue`]) that answers `Busy` when saturated and a
 //!   worker pool of the paper's per-node parallelism;
-//! * [`master`] — [`NetMaster`]: a connection pool over all slaves with
-//!   per-request deadlines, bounded retries, hedged replica reads and
-//!   phi-accrual failure detection, producing the same
-//!   [`kvs_cluster::RunResult`] as the other two executors;
-//! * [`phi`] — [`PhiAccrual`]: the continuous suspicion level the master
-//!   orders replicas by (Hayashibara et al., SRDS 2004);
-//! * [`latency`] — [`LatencyTracker`]: online per-node latency histogram
-//!   + EWMA, the source of the hedge-delay quantile;
+//! * [`master`] — [`NetMaster`]: a connection pool over all slaves and
+//!   the socket driver of the aggregation query. Every read-path decision
+//!   (retries, hedged replica reads, phi-accrual failover, deadlines,
+//!   degraded misses) is [`kvs_cluster::ReadCoordinator`]'s, the
+//!   clock-free state machine the simulator drives too; the run produces
+//!   the same [`kvs_cluster::RunResult`] as the other two executors;
 //! * [`local`] — [`spawn_local_cluster`]: N servers on ephemeral loopback
 //!   ports with deterministic shutdown, for tests and benchmarks; its
 //!   durable twin [`spawn_local_cluster_durable`] persists every node
@@ -57,10 +55,8 @@ pub mod chaos;
 pub mod clock;
 pub mod frame;
 mod ioutil;
-pub mod latency;
 pub mod local;
 pub mod master;
-pub mod phi;
 pub mod server;
 pub mod write_path;
 
@@ -70,13 +66,11 @@ pub use chaos::{
 };
 pub use frame::{Frame, FrameError, FrameKind};
 pub use kvs_cluster::{MixedOp, MixedOutcome, MixedPlan};
-pub use latency::LatencyTracker;
 pub use local::{
     spawn_local_cluster, spawn_local_cluster_durable, DurableClusterConfig, LocalCluster,
 };
 pub use master::{
     HedgeConfig, MissedPartition, NetConfig, NetMaster, NetRunReport, QueryMode, Route,
 };
-pub use phi::PhiAccrual;
 pub use server::{NetServerConfig, NodeStore, SlaveHandle, SlaveServer};
 pub use write_path::WriteOptions;

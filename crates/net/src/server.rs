@@ -113,20 +113,20 @@ pub enum NodeStore {
 }
 
 impl NodeStore {
-    /// Reads a whole partition. A durable-tier I/O error cannot reach the
-    /// wire (the frame protocol has no error kind a master could
-    /// distinguish from loss), so it is logged and served as an empty
-    /// partition — the master's replica failover treats it like a miss.
-    fn get(&mut self, pk: &PartitionKey) -> Vec<Cell> {
+    /// Reads a whole partition. A durable-tier error (an I/O failure, an
+    /// SST block that fails its checksum) is logged and returned: the
+    /// caller refuses with `Unavailable`, never an empty answer.
+    fn get(&mut self, pk: &PartitionKey) -> io::Result<Vec<Cell>> {
         match self {
-            NodeStore::Ram(table) => table.get(pk).0,
-            NodeStore::Durable(table) => match table.get(pk) {
-                Ok((cells, _receipt)) => cells,
-                Err(e) => {
-                    eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
-                    Vec::new()
-                }
-            },
+            NodeStore::Ram(table) => Ok(table.get(pk).0),
+            NodeStore::Durable(table) => {
+                table
+                    .get(pk)
+                    .map(|(cells, _receipt)| cells)
+                    .inspect_err(|e| {
+                        eprintln!("kvs-net: durable read of {pk:?} failed: {e}");
+                    })
+            }
         }
     }
 
@@ -135,12 +135,13 @@ impl NodeStore {
     /// lands every carried cell; an equal or older timestamp leaves the
     /// incumbent untouched (ties keep the incumbent, so hint replay is
     /// idempotent). Returns `(applied, version_after)`. A durable-tier
-    /// error refuses the write (`applied = false`) with the pre-image
-    /// version, and the coordinator will not count the ack.
-    fn apply(&mut self, req: &WriteRequest) -> (bool, u64) {
-        let current = version_of(&self.get(&req.partition));
+    /// write error refuses the write (`applied = false`) with the
+    /// pre-image version, and the coordinator will not count the ack; a
+    /// failed pre-image read is the caller's `Unavailable`.
+    fn apply(&mut self, req: &WriteRequest) -> io::Result<(bool, u64)> {
+        let current = version_of(&self.get(&req.partition)?);
         if req.timestamp <= current {
-            return (false, current);
+            return Ok((false, current));
         }
         match self {
             NodeStore::Ram(table) => {
@@ -153,22 +154,22 @@ impl NodeStore {
                 for cell in &req.cells {
                     if let Err(e) = table.put(req.partition.clone(), cell.clone()) {
                         eprintln!("kvs-net: durable write of {:?} failed: {e}", req.partition);
-                        return (false, current);
+                        return Ok((false, current));
                     }
                 }
                 if let Err(e) = table.put(req.partition.clone(), version_cell(req.timestamp)) {
                     eprintln!("kvs-net: version cell write failed: {e}");
-                    return (false, current);
+                    return Ok((false, current));
                 }
                 // The ack promises durability: the WAL must be on disk
                 // before the coordinator counts this replica.
                 if let Err(e) = table.sync_wal() {
                     eprintln!("kvs-net: WAL sync failed: {e}");
-                    return (false, current);
+                    return Ok((false, current));
                 }
             }
         }
-        (true, req.timestamp)
+        Ok((true, req.timestamp))
     }
 }
 
@@ -329,7 +330,8 @@ fn dispatch(frame: Frame, queue: &WorkQueue<Job>, conn: &Arc<Mutex<TcpStream>>) 
     }
 }
 
-/// Answers a request with a payload-less refusal (`Busy` or `Expired`).
+/// Answers a request with a payload-less refusal (`Busy`, `Expired` or
+/// `Unavailable`).
 fn reply_refusal(job: &Job, kind: FrameKind) {
     let refusal = Frame {
         kind,
@@ -369,7 +371,11 @@ fn serve(store: &Mutex<NodeStore>, job: Job) {
         FrameKind::Write => serve_write(store, job, dequeued, false),
         FrameKind::Rmw => serve_write(store, job, dequeued, true),
         // dispatch() never queues these; tolerate and drop.
-        FrameKind::Response | FrameKind::WriteAck | FrameKind::Busy | FrameKind::Expired => {}
+        FrameKind::Response
+        | FrameKind::WriteAck
+        | FrameKind::Busy
+        | FrameKind::Expired
+        | FrameKind::Unavailable => {}
     }
 }
 
@@ -382,10 +388,16 @@ fn serve_read(store: &Mutex<NodeStore>, job: Job, dequeued: u64) {
     } else {
         Codec::verbose()
     };
+    // A checksummed frame with an undecodable body, or a failed read:
+    // refuse, so the master fails over instead of timing out (or, worse,
+    // counting an empty partition).
     let Some(request) = codec.decode_request(job.frame.payload.clone()) else {
-        return; // checksummed frame with an undecodable body: drop it
+        return reply_refusal(&job, FrameKind::Unavailable);
     };
-    let cells = store.lock().get(&request.partition);
+    let read = store.lock().get(&request.partition);
+    let Ok(cells) = read else {
+        return reply_refusal(&job, FrameKind::Unavailable);
+    };
     let response = QueryResponse::from_kinds(
         request.request_id,
         cells.iter().filter(|c| !is_version_cell(c)).map(|c| c.kind),
@@ -416,16 +428,21 @@ fn serve_write(store: &Mutex<NodeStore>, job: Job, dequeued: u64, rmw: bool) {
         Codec::verbose()
     };
     let Some(write) = codec.decode_write(job.frame.payload.clone()) else {
-        return; // checksummed frame with an undecodable body: drop it
+        return reply_refusal(&job, FrameKind::Unavailable);
     };
-    let (applied, version) = {
+    let applied = {
         let mut guard = store.lock();
-        if rmw {
-            // The pre-image read is the "modify" input; the prototype's
-            // aggregation workload only needs its cost, not its value.
-            let _pre_image_cells = guard.get(&write.partition).len();
-        }
-        guard.apply(&write)
+        // The RMW pre-image read is the "modify" input; the prototype's
+        // aggregation workload only needs its cost, not its value.
+        let pre_image = if rmw {
+            guard.get(&write.partition).map(drop)
+        } else {
+            Ok(())
+        };
+        pre_image.and_then(|()| guard.apply(&write))
+    };
+    let Ok((applied, version)) = applied else {
+        return reply_refusal(&job, FrameKind::Unavailable);
     };
     let ack = WriteAck {
         request_id: write.request_id,

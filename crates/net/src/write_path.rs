@@ -11,14 +11,14 @@
 //! coordinator is closed-loop per operation, so write throughput is
 //! 1/latency.
 
-use crate::clock::wall_ns;
-use crate::frame::{Frame, FrameKind, FLAG_COMPACT};
+use crate::clock::{now, wall_ns};
+use crate::frame::{Frame, FrameKind};
 use crate::master::{Event, NetConfig, NetMaster};
 use bytes::Bytes;
 use crossbeam::channel::RecvTimeoutError;
 use kvs_cluster::replication::{Command, Message, Reply};
-use kvs_cluster::{CodecKind, Coordinator, MixedOutcome, MixedPlan};
-use kvs_simcore::{SimDuration, SimTime};
+use kvs_cluster::{Coordinator, MixedOutcome, MixedPlan};
+use kvs_simcore::SimDuration;
 use std::io;
 use std::time::{Duration, Instant};
 
@@ -36,10 +36,6 @@ struct Encoded {
     kind: FrameKind,
     payload: Bytes,
     deadline: u64,
-}
-
-fn now() -> SimTime {
-    SimTime::from_nanos(wall_ns())
 }
 
 /// The coordinator a master with `cfg` drives.
@@ -72,7 +68,7 @@ impl NetMaster {
                     std::thread::sleep(due - elapsed);
                 }
             }
-            coord.start(now(), plan, |node| self.hard_suspect(node));
+            coord.start(now(), plan, |node| self.reads.hard_suspect(node));
             self.drive(&mut coord);
         }
         let mut out = coord.take_outcome();
@@ -127,7 +123,7 @@ impl NetMaster {
             }
             match self.rx.recv_timeout(Duration::from_nanos(left.as_nanos())) {
                 Ok(Event::Frame(node, frame)) => {
-                    self.note_alive(node);
+                    self.reads.note_alive(now(), node);
                     // Skip stray frames (earlier legs, repair acks, the
                     // read path) before paying for a decode.
                     if coord.awaits(frame.id) {
@@ -150,17 +146,24 @@ impl NetMaster {
         }
     }
 
+    /// The coordinator's view of a reply frame; a checksummed but
+    /// undecodable body reads as `Unavailable` (a missed leg).
     fn decode_reply(&self, frame: Frame) -> Option<Reply> {
         let codec = &self.cfg.codec;
         match frame.kind {
-            FrameKind::WriteAck => codec
-                .decode_write_ack(frame.payload)
-                .map(|ack| Reply::Ack(ack.version)),
-            FrameKind::Response => codec
-                .decode_response(frame.payload)
-                .map(|resp| Reply::Read(resp.version)),
+            FrameKind::WriteAck => Some(
+                codec
+                    .decode_write_ack(frame.payload)
+                    .map_or(Reply::Unavailable, |ack| Reply::Ack(ack.version)),
+            ),
+            FrameKind::Response => Some(
+                codec
+                    .decode_response(frame.payload)
+                    .map_or(Reply::Unavailable, |resp| Reply::Read(resp.version)),
+            ),
             FrameKind::Busy => Some(Reply::Busy),
             FrameKind::Expired => Some(Reply::Expired),
+            FrameKind::Unavailable => Some(Reply::Unavailable),
             FrameKind::Request | FrameKind::Write | FrameKind::Rmw => None,
         }
     }
@@ -191,7 +194,14 @@ impl NetMaster {
                 }
             }
         };
-        let sent = self.send_write_frame(node, leg.kind, id, leg.payload.clone(), leg.deadline);
+        let sent = self.send_frame(
+            node,
+            leg.kind,
+            id,
+            wall_ns(),
+            leg.deadline,
+            leg.payload.clone(),
+        );
         *encoded = Some(leg);
         sent
     }
@@ -200,36 +210,5 @@ impl NetMaster {
     /// every retransmit of the same operation shares the leg's budget.
     fn leg_deadline(&self) -> u64 {
         wall_ns().saturating_add(2 * self.cfg.timeout.as_nanos() as u64)
-    }
-
-    /// Frames and writes one write-path message. The stamp convention is
-    /// the request one: issue, send, send-sequence, and a slave-owned 0.
-    /// The deadline is the leg's: retransmits must pass the same value,
-    /// never mint a fresh one (KVS-L016).
-    fn send_write_frame(
-        &mut self,
-        node: u32,
-        kind: FrameKind,
-        id: u64,
-        payload: Bytes,
-        deadline: u64,
-    ) -> io::Result<()> {
-        let flags = match self.cfg.codec.kind {
-            CodecKind::Compact => FLAG_COMPACT,
-            CodecKind::Verbose => 0,
-        };
-        let issued_wall = wall_ns();
-        let sent_wall = wall_ns();
-        let seq = self.send_seq;
-        self.send_seq += 1;
-        let frame = Frame {
-            kind,
-            flags,
-            id,
-            stamps: [issued_wall, sent_wall, seq, 0],
-            deadline,
-            payload,
-        };
-        self.write_frame(node, &frame)
     }
 }

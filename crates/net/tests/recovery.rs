@@ -228,3 +228,58 @@ fn crash_during_flush_and_compaction_recovers_to_oracle() {
     }
     cluster.shutdown();
 }
+
+/// A corrupt SST block on one replica must never become an answer: the
+/// replica refuses with `Unavailable`, the master fails over at once, and
+/// the query returns the oracle counts. Every route puts node 0 first, so
+/// the partition in the flipped block is asked of the corrupt copy.
+#[test]
+fn a_corrupt_sst_block_fails_over_instead_of_answering_empty() {
+    let root = TempDir::new("rec-corrupt");
+    let (mut cluster, routes) =
+        spawn_local_cluster_durable(data(), NetServerConfig::default(), durable_cfg(&root))
+            .expect("durable cluster boots");
+    let routes: Vec<kvs_net::Route> = routes
+        .into_iter()
+        .filter(|r| r.replicas.contains(&0))
+        .map(|mut r| {
+            r.replicas.sort_by_key(|&n| n != 0);
+            r
+        })
+        .collect();
+    let query = |cluster: &kvs_net::LocalCluster| {
+        let mut master = NetMaster::connect(&cluster.addrs(), cfg()).expect("master connects");
+        let report = master.run_query(&routes).expect("query succeeds");
+        master.shutdown();
+        report
+    };
+    let healthy = query(&cluster);
+    assert_eq!(healthy.failovers, 0);
+
+    // Between kill and restart, so no block cache holds the clean bytes.
+    cluster.kill(0);
+    let dir = root.path().join("node-0");
+    let mut ssts: Vec<_> = std::fs::read_dir(&dir)
+        .expect("node dir lists")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "sst"))
+        .collect();
+    ssts.sort();
+    let sst = ssts.first().expect("node 0 holds an SSTable");
+    let mut bytes = std::fs::read(sst).expect("read sst");
+    bytes[8] ^= 0xFF; // data blocks start at offset 0
+    std::fs::write(sst, bytes).expect("write sst");
+    cluster.restart(0).expect("restart succeeds");
+
+    let report = query(&cluster);
+    assert_eq!(
+        report.result.counts_by_kind, healthy.result.counts_by_kind,
+        "a corrupt block turned into a wrong count"
+    );
+    assert_eq!(report.result.total_cells, healthy.result.total_cells);
+    assert!(
+        report.failovers > 0,
+        "the corrupt replica was never refused"
+    );
+    cluster.shutdown();
+}
